@@ -79,16 +79,16 @@ def _reward_spec(cfg: RunConfig, split, table) -> RewardSpec:
 
 
 def _check_embedding(cfg: RunConfig, table, emb_cfg, graph) -> None:
-    if emb_cfg.d != cfg.embed_d:
+    if emb_cfg.d != cfg.embed.d:
         raise CheckpointMismatchError(
-            f"embedding checkpoint has d={emb_cfg.d}, config asks embed.d={cfg.embed_d}"
+            f"embedding checkpoint has d={emb_cfg.d}, config asks embed.d={cfg.embed.d}"
         )
     if not table.matches(graph):
         raise CheckpointMismatchError("embedding vocab sizes do not match the graph")
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    paths = synthetic.write_tsvs(cfg.synth_config(), cfg.data_dir)
+    paths = synthetic.write_tsvs(cfg.synth, cfg.data_dir)
     print(f"wrote {len(paths)} relation files under {cfg.data_dir}")
     return 0
 
@@ -162,21 +162,20 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
         raise CheckpointMismatchError(
             f"policy checkpoint expects d={d}, embeddings have d={table.d}"
         )
-    if agent_cfg.max_hops_eval != cfg.agent_max_hops_eval:
+    if agent_cfg.max_hops_eval != cfg.agent.max_hops_eval:
         raise CheckpointMismatchError(
             f"policy was trained for {agent_cfg.max_hops_eval} hops, "
-            f"config asks {cfg.agent_max_hops_eval}"
+            f"config asks {cfg.agent.max_hops_eval}"
         )
     train_graph = kgmod.training_graph(graph, split)
     env = PathEnv(train_graph, table, agent_cfg.max_actions, agent_cfg.history)
     widths = cfg.widths()
-    if len(widths) != cfg.agent_max_hops_eval:
+    if len(widths) != cfg.agent.max_hops_eval:
         raise ConfigError(
-            f"beam.widths must list {cfg.agent_max_hops_eval} widths, got {len(widths)}"
+            f"beam.widths must list {cfg.agent.max_hops_eval} widths, got {len(widths)}"
         )
     lists, invalid = recommend_all(
-        train_graph.learners(), env, params, split.train_course_sets(),
-        widths, n=cfg.eval_k, use_embed_tiebreak=cfg.beam_embed_tiebreak,
+        train_graph.learners(), env, params, split.train_course_sets(), widths, n=cfg.eval_k
     )
     rec_path = _out(cfg, f"recommendations_s{args.seed}.jsonl")
     write_recommendations(lists, graph, rec_path)
@@ -191,7 +190,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     lists = load_recommendations(rec_path, graph, n=cfg.eval_k)
     run = evaluate(lists, split, k=cfg.eval_k)
     model_name = "UPGPR" if cfg.reward_mode == "binary" else "PGPR"
-    report = MetricsReport.aggregate(model_name, "Path-Based", cfg.agent_max_hops_eval, [run])
+    report = MetricsReport.aggregate(model_name, "Path-Based", cfg.agent.max_hops_eval, [run])
     save_report_json([report], _out(cfg, f"metrics_s{args.seed}.json"))
     print(format_report_table([report]))
     return 0
@@ -269,7 +268,7 @@ def cmd_run_all(cfg: RunConfig, args) -> int:
         )
         agent_runs.append(evaluate(lists, split, cfg.eval_k))
     reports.append(
-        MetricsReport.aggregate(model_name, "Path-Based", cfg.agent_max_hops_eval, agent_runs)
+        MetricsReport.aggregate(model_name, "Path-Based", cfg.agent.max_hops_eval, agent_runs)
     )
 
     save_report_json(reports, _out(cfg, "metrics.json"))

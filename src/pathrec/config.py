@@ -1,15 +1,18 @@
 """Flat `section.key = value` run configuration.
 
-One file drives the whole pipeline; every tunable default of the library
-modules appears here and unknown keys are rejected rather than ignored.
+One file drives the whole pipeline; unknown keys are rejected rather than
+ignored. The `embed.*`, `agent.*` and `synth.*` keys are the fields of the
+library configs, whose modules declare their defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass, replace
+from typing import get_type_hints
 
 from .embeddings import EmbedConfig
 from .errors import ConfigError
+from .inference import DEFAULT_BEAM_WIDTHS
 from .policy import AgentConfig
 from .synthetic import SynthConfig
 
@@ -23,14 +26,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(","))
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",")) if raw.strip() else ()
-
-
 @dataclass
 class RunConfig:
     data_dir: str = "data"
@@ -38,141 +33,62 @@ class RunConfig:
     min_enrollments: int = 10
     split_ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
     split_seed: int = 0
-    embed_d: int = 100
-    embed_learning_rate: float = 1e-3
-    embed_epochs: int = 30
-    embed_negatives: int = 5
-    embed_batch_size: int = 512
-    embed_optimizer: str = "adam"
-    agent_max_hops_eval: int = 3
-    agent_train_extra_hop: bool = True
-    agent_epochs: int = 50
-    agent_learning_rate: float = 1e-3
-    agent_episodes_per_learner: int = 2
-    agent_entropy_weight: float = 0.01
-    agent_gamma: float = 1.0
-    agent_hidden: int = 512
-    agent_history: int = 1
-    agent_batch_episodes: int = 512
-    agent_max_actions: int = 250
-    agent_optimizer: str = "adam"
+    embed: EmbedConfig = EmbedConfig()
+    agent: AgentConfig = AgentConfig()
     reward_mode: str = "binary"
     reward_pattern_whitelist: str = ""
     beam_widths: tuple[int, ...] = ()
-    beam_embed_tiebreak: bool = False
     eval_k: int = 10
     mf_factors: int = 32
     mf_epochs: int = 30
     mf_learning_rate: float = 0.05
     run_seeds: int = 3
     run_base_seed: int = 0
-    synth_n_learners: int = 300
-    synth_n_courses: int = 60
-    synth_n_teachers: int = 10
-    synth_n_categories: int = 5
-    synth_n_concepts: int = 20
-    synth_n_clusters: int = 5
-    synth_in_cluster_prob: float = 0.9
-    synth_cross_cluster_prob: float = 0.1
-    synth_enrollments_per_learner: int = 12
-    synth_seed: int = 0
+    synth: SynthConfig = SynthConfig()
 
     def embed_config(self, seed: int) -> EmbedConfig:
-        return EmbedConfig(
-            d=self.embed_d,
-            learning_rate=self.embed_learning_rate,
-            epochs=self.embed_epochs,
-            negatives_per_positive=self.embed_negatives,
-            batch_size=self.embed_batch_size,
-            seed=seed,
-            optimizer=self.embed_optimizer,
-        )
+        return replace(self.embed, seed=seed)
 
     def agent_config(self, seed: int) -> AgentConfig:
-        return AgentConfig(
-            max_hops_eval=self.agent_max_hops_eval,
-            train_extra_hop=self.agent_train_extra_hop,
-            epochs=self.agent_epochs,
-            learning_rate=self.agent_learning_rate,
-            episodes_per_learner=self.agent_episodes_per_learner,
-            entropy_weight=self.agent_entropy_weight,
-            gamma=self.agent_gamma,
-            hidden=self.agent_hidden,
-            history=self.agent_history,
-            batch_episodes=self.agent_batch_episodes,
-            max_actions=self.agent_max_actions,
-            seed=seed,
-            optimizer=self.agent_optimizer,
-        )
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            n_learners=self.synth_n_learners,
-            n_courses=self.synth_n_courses,
-            n_teachers=self.synth_n_teachers,
-            n_categories=self.synth_n_categories,
-            n_concepts=self.synth_n_concepts,
-            n_clusters=self.synth_n_clusters,
-            in_cluster_enroll_prob=self.synth_in_cluster_prob,
-            cross_cluster_enroll_prob=self.synth_cross_cluster_prob,
-            enrollments_per_learner=self.synth_enrollments_per_learner,
-            seed=self.synth_seed,
-        )
+        return replace(self.agent, seed=seed)
 
     def widths(self) -> tuple[int, ...]:
-        if self.beam_widths:
-            return self.beam_widths
-        from .inference import DEFAULT_BEAM_WIDTHS
-
-        return DEFAULT_BEAM_WIDTHS[self.agent_max_hops_eval]
+        return self.beam_widths or DEFAULT_BEAM_WIDTHS[self.agent.max_hops_eval]
 
 
-# config-file key -> (attribute name, parser)
-_KEYS: dict[str, tuple[str, object]] = {
-    "data.dir": ("data_dir", str),
-    "data.out": ("out_dir", str),
-    "filter.min_enrollments": ("min_enrollments", int),
-    "split.ratios": ("split_ratios", _parse_floats),
-    "split.seed": ("split_seed", int),
-    "embed.d": ("embed_d", int),
-    "embed.learning_rate": ("embed_learning_rate", float),
-    "embed.epochs": ("embed_epochs", int),
-    "embed.negatives": ("embed_negatives", int),
-    "embed.batch_size": ("embed_batch_size", int),
-    "embed.optimizer": ("embed_optimizer", str),
-    "agent.max_hops_eval": ("agent_max_hops_eval", int),
-    "agent.train_extra_hop": ("agent_train_extra_hop", _parse_bool),
-    "agent.epochs": ("agent_epochs", int),
-    "agent.learning_rate": ("agent_learning_rate", float),
-    "agent.episodes_per_learner": ("agent_episodes_per_learner", int),
-    "agent.entropy_weight": ("agent_entropy_weight", float),
-    "agent.gamma": ("agent_gamma", float),
-    "agent.hidden": ("agent_hidden", int),
-    "agent.history": ("agent_history", int),
-    "agent.batch_episodes": ("agent_batch_episodes", int),
-    "agent.max_actions": ("agent_max_actions", int),
-    "agent.optimizer": ("agent_optimizer", str),
-    "reward.mode": ("reward_mode", str),
-    "reward.pattern_whitelist": ("reward_pattern_whitelist", str),
-    "beam.widths": ("beam_widths", _parse_ints),
-    "beam.embed_tiebreak": ("beam_embed_tiebreak", _parse_bool),
-    "eval.k": ("eval_k", int),
-    "mf.factors": ("mf_factors", int),
-    "mf.epochs": ("mf_epochs", int),
-    "mf.learning_rate": ("mf_learning_rate", float),
-    "run.seeds": ("run_seeds", int),
-    "run.base_seed": ("run_base_seed", int),
-    "synth.n_learners": ("synth_n_learners", int),
-    "synth.n_courses": ("synth_n_courses", int),
-    "synth.n_teachers": ("synth_n_teachers", int),
-    "synth.n_categories": ("synth_n_categories", int),
-    "synth.n_concepts": ("synth_n_concepts", int),
-    "synth.n_clusters": ("synth_n_clusters", int),
-    "synth.in_cluster_prob": ("synth_in_cluster_prob", float),
-    "synth.cross_cluster_prob": ("synth_cross_cluster_prob", float),
-    "synth.enrollments_per_learner": ("synth_enrollments_per_learner", int),
-    "synth.seed": ("synth_seed", int),
+_PARSERS = {
+    str: str, int: int, float: float, bool: _parse_bool,
+    tuple[float, ...]: lambda raw: tuple(float(part) for part in raw.split(",")),
+    tuple[int, ...]: lambda raw: tuple(int(part) for part in raw.split(",")) if raw.strip() else (),
 }
+
+# Field paths whose key is not `section.field` (flat fields: `section_field`).
+_RENAMED = {
+    "out_dir": "data.out",
+    "min_enrollments": "filter.min_enrollments",
+    "embed.negatives_per_positive": "embed.negatives",
+    "synth.in_cluster_enroll_prob": "synth.in_cluster_prob",
+    "synth.cross_cluster_enroll_prob": "synth.cross_cluster_prob",
+}
+# Seeded per run from --seed / run.base_seed instead of from a key.
+_UNKEYED = {"embed.seed", "agent.seed"}
+
+
+def _key_table() -> dict[str, tuple[str | None, str, object]]:
+    """Config key -> (sub-config attribute or None, field name, parser)."""
+    keys = {}
+    for top, hint in get_type_hints(RunConfig).items():
+        if not is_dataclass(hint):
+            keys[_RENAMED.get(top, top.replace("_", ".", 1))] = (None, top, _PARSERS[hint])
+            continue
+        for name, sub_hint in get_type_hints(hint).items():
+            path = f"{top}.{name}"
+            if path not in _UNKEYED:
+                keys[_RENAMED.get(path, path)] = (top, name, _PARSERS[sub_hint])
+    return keys
+
+
+_KEYS = _key_table()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -186,11 +102,15 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        attr, parser = _KEYS[key]
+        sub, name, parser = _KEYS[key]
         try:
-            setattr(cfg, attr, parser(value))
+            parsed = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if sub is None:
+            setattr(cfg, name, parsed)
+        else:
+            setattr(cfg, sub, replace(getattr(cfg, sub), **{name: parsed}))
     if len(cfg.split_ratios) != 3:
         raise ConfigError(f"{source}: split.ratios needs exactly three fractions")
     return cfg
@@ -205,8 +125,8 @@ def default_config_text() -> str:
     """A commented config file with every key at its default."""
     lines = ["# pathrec run configuration (section.key = value)"]
     cfg = RunConfig()
-    for key, (attr, _parser) in _KEYS.items():
-        value = getattr(cfg, attr)
+    for key, (sub, name, _parser) in _KEYS.items():
+        value = getattr(cfg if sub is None else getattr(cfg, sub), name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         elif isinstance(value, bool):

@@ -340,4 +340,9 @@ def load_embeddings(path: str) -> tuple[EmbeddingTable, EmbedConfig]:
             raise DataError(f"{path}: corrupt embedding checkpoint") from exc
     if cfg.d != d:
         raise CheckpointMismatchError(f"{path}: header d={d} but config echo d={cfg.d}")
+    if set(entity) != set(ENTITY_TYPES) or set(relation) != set(FORWARD_RELATIONS):
+        raise CheckpointMismatchError(
+            f"{path}: tensors {sorted(entity)} / {sorted(relation)} do not name this "
+            "schema's entity types and relations"
+        )
     return EmbeddingTable(entity, relation, d), cfg

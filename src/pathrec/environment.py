@@ -60,7 +60,6 @@ class EnvState:
     start: EntityRef
     current: EntityRef
     history: tuple[Action, ...]  # most recent hop first, length <= H
-    hops_taken: int
     hops_remaining: int
 
 
@@ -154,9 +153,7 @@ class PathEnv:
             raise KeyError(f"unknown entity: {learner}")
         if hop_budget < 1:
             raise ValueError("hop_budget must be >= 1")
-        return EnvState(
-            start=learner, current=learner, history=(), hops_taken=0, hops_remaining=hop_budget
-        )
+        return EnvState(start=learner, current=learner, history=(), hops_remaining=hop_budget)
 
     def action_set(self, entity: EntityRef) -> ActionSet:
         cached = self._action_sets.get(entity)
@@ -194,7 +191,6 @@ class PathEnv:
             start=state.start,
             current=state.current if rel == SELF_LOOP else tail,
             history=history,
-            hops_taken=state.hops_taken + 1,
             hops_remaining=state.hops_remaining - 1,
         )
 

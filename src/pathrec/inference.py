@@ -80,13 +80,11 @@ def rank_candidates(
     learner: EntityRef,
     train_courses: frozenset[int],
     n: int = 10,
-    tiebreak: dict[int, float] | None = None,
 ) -> RecommendationList:
     """Keep course-terminal paths to unseen courses; one item per course.
 
     A course's score is its best path's log-probability; ties in score break
-    by the optional per-course tiebreak value (higher first), then by course
-    index. The list is truncated to n (shorter means invalid user).
+    by course index. The list is truncated to n (shorter means invalid user).
     """
     best: dict[int, tuple[float, Path]] = {}
     for path, log_prob in paths:
@@ -96,23 +94,11 @@ def rank_candidates(
         seen = best.get(final.index)
         if seen is None or log_prob > seen[0]:
             best[final.index] = (log_prob, path)
-    breaker = tiebreak or {}
-    ranked = sorted(
-        best.items(), key=lambda kv: (-kv[1][0], -breaker.get(kv[0], 0.0), kv[0])
-    )[:n]
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))[:n]
     items = tuple(
         RecommendedItem(EntityRef("course", c), score, path) for c, (score, path) in ranked
     )
     return RecommendationList(learner=learner, items=items, n=n)
-
-
-def embed_tiebreak(env: PathEnv, learner: EntityRef) -> dict[int, float]:
-    """Normalized learner-course dot products, for score tie-breaking."""
-    scores = env.embeddings.entity["course"] @ env.embeddings.vector(learner)
-    top = max(float(scores.max()), 0.0)
-    if top <= 0.0:
-        return {}
-    return {c: max(float(s), 0.0) / top for c, s in enumerate(scores)}
 
 
 def recommend_all(
@@ -122,17 +108,13 @@ def recommend_all(
     train_sets: dict[int, frozenset[int]],
     beam_widths: tuple[int, ...],
     n: int = 10,
-    use_embed_tiebreak: bool = False,
 ) -> tuple[dict[int, RecommendationList], float]:
     """Per-learner lists plus the fraction of learners with short lists."""
     lists: dict[int, RecommendationList] = {}
     invalid = 0
     for learner in learners:
         paths = beam_search(learner, env, params, beam_widths)
-        breaker = embed_tiebreak(env, learner) if use_embed_tiebreak else None
-        rec = rank_candidates(
-            paths, learner, train_sets.get(learner.index, frozenset()), n, tiebreak=breaker
-        )
+        rec = rank_candidates(paths, learner, train_sets.get(learner.index, frozenset()), n)
         lists[learner.index] = rec
         invalid += 0 if rec.is_valid else 1
     return lists, invalid / len(learners) if learners else 0.0

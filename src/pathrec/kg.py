@@ -326,20 +326,24 @@ def load_graph(path: str) -> KnowledgeGraph:
         raise DataError(f"{path}: not a {KG_MAGIC} file")
     vocab: dict[str, list[str]] = {}
     edges: dict[str, set[tuple[int, int]]] = {}
+    sections = {"vocab": ENTITY_TYPES, "rel": FORWARD_RELATIONS}
     i = 1
     try:
         while i < len(lines):
             kind, name, count = lines[i].split("\t")
             n = int(count)
+            if name not in sections.get(kind, ()):
+                raise DataError(f"{path}:{i + 1}: unexpected section {kind!r} {name!r}")
+            if n < 0 or i + n >= len(lines):
+                raise DataError(f"{path}:{i + 1}: {kind} {name} declares {n} lines, "
+                                f"{len(lines) - i - 1} follow")
             body = lines[i + 1 : i + 1 + n]
             if kind == "vocab":
                 vocab[name] = [ln.split("\t", 1)[1] for ln in body]
-            elif kind == "rel":
+            else:
                 edges[name] = {
                     (int(h), int(t)) for _, h, t in (ln.split("\t") for ln in body)
                 }
-            else:
-                raise DataError(f"{path}: unexpected section {kind!r}")
             i += 1 + n
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: corrupt graph file near line {i + 1}") from exc
@@ -367,8 +371,11 @@ def load_split(path: str, kg: KnowledgeGraph, seed: int = -1,
             cols = line.split("\t")
             if len(cols) != 3 or cols[1] not in parts:
                 raise DataError(f"{path}:{lineno}: malformed split line")
-            learner = kg.entity("learner", cols[0])
-            course = kg.entity("course", cols[2])
+            try:
+                learner = kg.entity("learner", cols[0])
+                course = kg.entity("course", cols[2])
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: {exc.args[0]}") from None
             parts[cols[1]].setdefault(learner.index, []).append(course)
     freeze = lambda d: {u: tuple(v) for u, v in d.items()}
     return EnrollmentSplit(

@@ -135,7 +135,6 @@ class Episode:
     learner: EntityRef
     path: Path
     steps: list[EpisodeStep]
-    log_probs: list[float]
     reward: float
     entropy: float  # mean over steps, for logging
 
@@ -151,7 +150,6 @@ def sample_episode(
     """Roll the full hop budget, sampling each action from the policy."""
     state = env.initial_state(learner, hop_budget)
     steps: list[EpisodeStep] = []
-    log_probs: list[float] = []
     hops = []
     entropy_sum = 0.0
     for _ in range(hop_budget):
@@ -161,7 +159,6 @@ def sample_episode(
         k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         k = min(k, len(probs) - 1)
         steps.append(EpisodeStep(x, aset.matrix, k))
-        log_probs.append(float(logp[k]))
         entropy_sum -= float(np.sum(probs * logp))
         action = aset.actions[k]
         hops.append(action)
@@ -171,7 +168,6 @@ def sample_episode(
         learner=learner,
         path=path,
         steps=steps,
-        log_probs=log_probs,
         reward=reward(path, spec),
         entropy=entropy_sum / hop_budget,
     )

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -115,6 +116,40 @@ def test_checkpoint_mismatch_exits_4(pipeline, tmp_path):
         encoding="utf-8",
     )
     assert main(["train-agent", "--config", str(bad_cfg)]) == 4
+
+
+def _copy_run(root, tmp_path, names):
+    """A config whose output directory holds copies of the given artifacts."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in names:
+        shutil.copy(root / "out" / name, out / name)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        SMALL_CONFIG.format(root=root).replace(f"data.out = {root}/out", f"data.out = {out}"),
+        encoding="utf-8",
+    )
+    return out, str(cfg)
+
+
+def test_unknown_split_learner_exits_5(pipeline, tmp_path):
+    root, _cfg = pipeline
+    out, cfg = _copy_run(root, tmp_path, ("graph.kg", "split.tsv", "embeddings_s0.emb"))
+    with open(out / "split.tsv", "a", encoding="utf-8") as fh:
+        fh.write("ghost\ttrain\tc0000\n")
+    assert main(["train-agent", "--config", cfg]) == 5
+
+
+def test_renamed_embedding_type_exits_4(pipeline, tmp_path):
+    root, _cfg = pipeline
+    out, cfg = _copy_run(
+        root, tmp_path, ("graph.kg", "split.tsv", "embeddings_s0.emb", "policy_s0.pol")
+    )
+    emb = out / "embeddings_s0.emb"
+    data = emb.read_bytes()
+    assert data.count(b"learner") == 1
+    emb.write_bytes(data.replace(b"learner", b"learnex"))
+    assert main(["recommend", "--config", cfg]) == 4
 
 
 def test_missing_checkpoint_exits_3(pipeline):

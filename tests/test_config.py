@@ -1,18 +1,29 @@
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from pathrec.config import RunConfig, default_config_text, load_config, parse_config_text
+from pathrec.embeddings import EmbedConfig
 from pathrec.errors import ConfigError
+from pathrec.policy import AgentConfig
+from pathrec.synthetic import SynthConfig
+
+GOLDEN_CONFIG = Path(__file__).parent / "golden" / "default_config.ini"
 
 
 def test_defaults_match_module_defaults():
     cfg = parse_config_text("")
-    assert cfg.embed_d == 100
-    assert cfg.agent_epochs == 50
-    assert cfg.agent_learning_rate == pytest.approx(1e-3)
-    assert cfg.embed_batch_size == 512
+    assert cfg.embed.d == 100
+    assert cfg.agent.epochs == 50
+    assert cfg.agent.learning_rate == pytest.approx(1e-3)
+    assert cfg.embed.batch_size == 512
     assert cfg.split_ratios == (0.8, 0.1, 0.1)
     assert cfg.min_enrollments == 10
     assert cfg.eval_k == 10
+    assert cfg.embed == EmbedConfig()
+    assert cfg.agent == AgentConfig()
+    assert cfg.synth == SynthConfig()
 
 
 def test_overrides_and_comments():
@@ -24,8 +35,8 @@ split.ratios = 0.6,0.2,0.2
 beam.widths = 4,3,2
 """
     cfg = parse_config_text(text)
-    assert cfg.embed_d == 16
-    assert cfg.agent_train_extra_hop is False
+    assert cfg.embed.d == 16
+    assert cfg.agent.train_extra_hop is False
     assert cfg.split_ratios == (0.6, 0.2, 0.2)
     assert cfg.widths() == (4, 3, 2)
 
@@ -60,7 +71,7 @@ def test_sub_config_construction():
     assert cfg.embed_config(seed=7).d == 12
     assert cfg.embed_config(seed=7).seed == 7
     assert cfg.agent_config(seed=7).hidden == 32
-    assert cfg.synth_config().n_learners == 50
+    assert cfg.synth.n_learners == 50
 
 
 def test_default_config_text_round_trips():
@@ -73,3 +84,43 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("eval.k = 5\n", encoding="utf-8")
     assert load_config(str(path)).eval_k == 5
+
+
+def test_default_config_text_matches_golden():
+    assert default_config_text() == GOLDEN_CONFIG.read_text(encoding="utf-8")
+
+
+def _non_default(value):
+    if isinstance(value, bool):
+        return not value, "false" if value else "true"
+    if isinstance(value, str):
+        return value + "x", value + "x"
+    changed = value + 1 if isinstance(value, int) else value / 2 + 0.125
+    return changed, str(changed)
+
+
+@pytest.mark.parametrize("lib_cls, build", [
+    (EmbedConfig, lambda cfg: cfg.embed_config(seed=3)),
+    (AgentConfig, lambda cfg: cfg.agent_config(seed=3)),
+    (SynthConfig, lambda cfg: cfg.synth),
+], ids=["embed", "agent", "synth"])
+def test_every_library_field_has_exactly_one_key(lib_cls, build):
+    keys = [line.split(" = ")[0] for line in default_config_text().splitlines()[1:]]
+    run_seeded = lib_cls is not SynthConfig
+    for f in fields(lib_cls):
+        if f.name == "seed" and run_seeded:
+            continue
+        value, text = _non_default(f.default)
+        reaching = []
+        for key in keys:
+            try:
+                built = build(parse_config_text(f"{key} = {text}"))
+            except ConfigError:
+                continue
+            if getattr(built, f.name) == value:
+                reaching.append(key)
+        assert len(reaching) == 1, (f.name, reaching)
+        built = build(parse_config_text(f"{reaching[0]} = {text}"))
+        assert built == lib_cls(**{**vars(lib_cls()), f.name: value, "seed": built.seed})
+        if run_seeded:
+            assert built.seed == 3

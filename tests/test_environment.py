@@ -122,7 +122,6 @@ class TestStep:
         after = tiny_env.step(state, (SELF_LOOP, L(0)))
         assert after.current == L(0)
         assert after.hops_remaining == 2
-        assert after.hops_taken == 1
 
     def test_edge_moves(self, tiny_env):
         state = tiny_env.initial_state(L(0), 3)

@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,10 +22,28 @@ from pathrec.kg import (
 )
 from pathrec.schema import EntityRef, inverse_of
 
+from conftest import make_tiny_kg
+
 
 def write_tsv(path, rows):
     path.write_text("".join(f"{a}\t{b}\n" for a, b in rows), encoding="utf-8")
     return str(path)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail a call that does not return in time instead of hanging the suite."""
+
+    def _expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestIngest:
@@ -260,3 +280,97 @@ class TestSerialization:
         path = tmp_path / "synth.kg"
         save_graph(synth_kg, str(path))
         assert load_graph(str(path)) == synth_kg
+
+    def _corrupt(self, tiny_kg, tmp_path, old, new):
+        path = tmp_path / "g.kg"
+        save_graph(tiny_kg, str(path))
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        return str(path)
+
+    def test_negative_section_count_is_data_error(self, tiny_kg, tmp_path):
+        path = self._corrupt(tiny_kg, tmp_path, "rel\tteaches\t6", "rel\tteaches\t-1")
+        with time_limit(5), pytest.raises(DataError, match="declares -1"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("old, new", [
+        ("vocab\tlearner\t", "vocab\tlerner\t"),
+        ("rel\tteaches\t", "rel\tteach\t"),
+    ])
+    def test_misspelled_section_name_is_data_error(self, tiny_kg, tmp_path, old, new):
+        path = self._corrupt(tiny_kg, tmp_path, old, new)
+        with pytest.raises(DataError, match="unexpected section"):
+            load_graph(path)
+
+    def test_short_section_body_is_data_error(self, tiny_kg, tmp_path):
+        path = tmp_path / "g.kg"
+        save_graph(tiny_kg, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="declares 6 lines, 5 follow"):
+            load_graph(str(path))
+
+
+SECTION_NAMES = ("learner", "lerner", "course", "teaches", "enrolled", "rel", "vocab", "")
+
+
+@st.composite
+def damaged(draw, lines: list[str]) -> str:
+    """The file text after a few truncations, garbled lines and header edits."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("truncate", "garble", "drop", "duplicate", "section")))
+        if op == "truncate":
+            lines = lines[:i] + [lines[i][: draw(st.integers(0, len(lines[i])))]]
+        elif op == "garble":
+            lines[i] = draw(st.text(alphabet="\tuc0159-x_ ", max_size=12))
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            cols = lines[i].split("\t")
+            cols[draw(st.integers(0, len(cols) - 1))] = draw(
+                st.sampled_from(SECTION_NAMES) | st.integers(-3, 40).map(str)
+            )
+            lines[i] = "\t".join(cols)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _only_data_error(load, *args):
+    with time_limit(5):
+        try:
+            load(*args)
+        except DataError:
+            pass
+
+
+class TestLoaderFuzz:
+    """Damaged graph and split files raise DataError and nothing else."""
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_load_graph(self, fuzz_dir, data):
+        path = fuzz_dir / "g.kg"
+        save_graph(make_tiny_kg(with_school=True), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(data.draw(damaged(lines)), encoding="utf-8")
+        _only_data_error(load_graph, str(path))
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_load_split(self, fuzz_dir, data):
+        kg, path = make_tiny_kg(), fuzz_dir / "split.tsv"
+        save_split(split_enrollments(kg, (0.5, 0.25, 0.25), seed=0), kg, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(data.draw(damaged(lines)), encoding="utf-8")
+        _only_data_error(load_split, str(path), kg)

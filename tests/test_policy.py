@@ -131,7 +131,6 @@ class TestSampleEpisode:
         b = sample_episode(EntityRef("learner", 0), env, params, BINARY, 4,
                            np.random.default_rng(42))
         assert a.path == b.path
-        assert a.log_probs == b.log_probs
         assert a.reward == b.reward
 
     def test_budget_four_reward_one_contains_self_loop(self):
