@@ -11,7 +11,7 @@ from dataclasses import dataclass, is_dataclass, replace
 from typing import get_type_hints
 
 from .embeddings import EmbedConfig
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .inference import DEFAULT_BEAM_WIDTHS
 from .policy import AgentConfig
 from .synthetic import SynthConfig
@@ -117,7 +117,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         return parse_config_text(fh.read(), source=path)
 
 

@@ -148,16 +148,26 @@ def _table(params: dict, d: int) -> EmbeddingTable:
     return EmbeddingTable(entity, relation, d)
 
 
+def draw_negatives(rng: np.random.Generator, tail_sizes: list[int], m: int) -> np.ndarray:
+    """(len(tail_sizes), m) corrupting tails, row i uniform over range(tail_sizes[i]).
+
+    One broadcast draw consumes the generator exactly as one
+    `rng.integers(0, tail_sizes[i], size=m)` call per row would.
+    """
+    return rng.integers(0, np.repeat(tail_sizes, m)).reshape(len(tail_sizes), m)
+
+
 def batch_loss_and_grads(
     table: EmbeddingTable,
     batch: list[tuple[str, int, int]],
-    negatives: dict[int, np.ndarray],
+    negatives: np.ndarray,
     want_grads: bool = True,
 ) -> tuple[float, dict | None]:
     """Negative-sampling logistic loss of one positive batch, and its gradients.
 
-    `negatives[i]` holds the corrupting tail indices for batch[i]. Gradients
-    come back as a dict keyed like the parameter pytree, zero elsewhere.
+    Row i of the (len(batch), m) array `negatives` holds the corrupting tail
+    indices for batch[i]. Gradients come back as a dict keyed like the
+    parameter pytree, zero elsewhere.
     """
     loss = 0.0
     grads = {key: np.zeros_like(arr) for key, arr in _params(table).items()} if want_grads else None
@@ -169,7 +179,7 @@ def batch_loss_and_grads(
         h_type, t_type = relation_types(rel)
         h_idx = np.array([batch[i][1] for i in rows])
         t_idx = np.array([batch[i][2] for i in rows])
-        neg_idx = np.stack([negatives[i] for i in rows])  # (B, m)
+        neg_idx = negatives[rows]  # (B, m)
         H = table.entity[h_type][h_idx]
         T = table.entity[t_type][t_idx]
         HR = H + table.relation[rel]
@@ -216,9 +226,7 @@ def train_embeddings(
         for start in range(0, len(order), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
             batch = [triples[i] for i in rows]
-            negatives = {
-                i: rng.integers(0, tail_sizes[batch[i][0]], size=m) for i in range(len(batch))
-            }
+            negatives = draw_negatives(rng, [tail_sizes[rel] for rel, _h, _t in batch], m)
             table = _table(params, cfg.d)
             loss, grads = batch_loss_and_grads(table, batch, negatives)
             if not np.isfinite(loss):
@@ -254,10 +262,8 @@ def grad_check_embeddings(cfg: EmbedConfig, sample_size: int = 100) -> float:
         arr += rng.normal(scale=0.3, size=arr.shape)
 
     triples = _canonical_triples(kg)
-    negatives = {
-        i: rng.integers(0, sizes[relation_types(rel)[1]], size=cfg.negatives_per_positive)
-        for i, (rel, _h, _t) in enumerate(triples)
-    }
+    m = cfg.negatives_per_positive
+    negatives = draw_negatives(rng, [sizes[relation_types(rel)[1]] for rel, _h, _t in triples], m)
     _, grads = batch_loss_and_grads(table, triples, negatives)
 
     def total_loss(tab: EmbeddingTable) -> float:
@@ -274,7 +280,7 @@ def grad_check_embeddings(cfg: EmbedConfig, sample_size: int = 100) -> float:
             ("entity", h_type, h),
             ("relation", rel, None),
             ("entity", t_type, t),
-            ("entity", t_type, int(negatives[i][int(rng.integers(cfg.negatives_per_positive))])),
+            ("entity", t_type, int(negatives[i, int(rng.integers(m))])),
         ][int(rng.integers(4))]
         arr = params[key[:2]]
         row = arr[key[2]] if key[2] is not None else arr
@@ -318,8 +324,7 @@ def save_embeddings(table: EmbeddingTable, path: str, cfg: EmbedConfig) -> None:
 
 def load_embeddings(path: str) -> tuple[EmbeddingTable, EmbedConfig]:
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
-        if magic != EMB_MAGIC:
+        if fh.readline().rstrip(b"\n") != EMB_MAGIC.encode():
             raise DataError(f"{path}: not a {EMB_MAGIC} file")
         try:
             cfg = EmbedConfig(**json.loads(fh.readline().decode()))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .kg import KnowledgeGraph
 from .schema import SELF_LOOP, EntityRef
 
@@ -198,7 +198,7 @@ class PathEnv:
 def load_pattern_whitelist(path: str) -> set[tuple[str, ...]]:
     """One pattern per line, relation names joined by '|'."""
     patterns: set[tuple[str, ...]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):

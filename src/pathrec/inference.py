@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Path, PathEnv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .kg import KnowledgeGraph
 from .policy import policy_forward, state_features
 from .schema import SELF_LOOP, EntityRef, relation_types
@@ -163,7 +163,7 @@ def load_recommendations(
     path: str, kg: KnowledgeGraph, n: int = 10
 ) -> dict[int, RecommendationList]:
     lists: dict[int, RecommendationList] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .schema import (
     ENTITY_TYPES,
     FORWARD_RELATIONS,
@@ -193,7 +193,7 @@ def ingest(relation_files: dict[str, str]) -> KnowledgeGraph:
     for rel in sorted(relation_files):
         path = relation_files[rel]
         pairs: list[tuple[str, str]] = []
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -320,7 +320,7 @@ def save_graph(kg: KnowledgeGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> KnowledgeGraph:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != KG_MAGIC:
         raise DataError(f"{path}: not a {KG_MAGIC} file")
@@ -363,7 +363,7 @@ def save_split(split: EnrollmentSplit, kg: KnowledgeGraph, path: str) -> None:
 def load_split(path: str, kg: KnowledgeGraph, seed: int = -1,
                ratios: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> EnrollmentSplit:
     parts: dict[str, dict[int, list[EntityRef]]] = {"train": {}, "val": {}, "test": {}}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -26,6 +26,9 @@ from .optim import make_optimizer
 from .schema import SELF_LOOP, EntityRef
 
 POL_MAGIC = "UPGPR-POL v1"
+# steps stacked per matrix product in `batch_gradients`; bounds the stacked
+# arrays to a few MB at PGPR width instead of growing with the batch
+GRAD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -222,26 +225,43 @@ def batch_gradients(
     entropy_weight: float,
     gamma: float,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradient of `batch_surrogate` w.r.t. every parameter."""
+    """Analytic gradient of `batch_surrogate` w.r.t. every parameter.
+
+    Each step's forward pass and its gradient w.r.t. the logits stay per step,
+    because action sets differ in size. What the steps share (inputs, hidden
+    states, dL/d[rel ; tail] and the baseline error) is stacked for up to
+    GRAD_BLOCK steps, and each parameter gradient of a block is one matrix
+    product.
+    """
     grads = {key: np.zeros_like(arr) for key, arr in params.items()}
-    for ep, advs in zip(episodes, advantages):
-        returns = step_returns(ep, gamma)
-        for t, step in enumerate(ep.steps):
-            x, A, k = step.features, step.action_matrix, step.chosen
-            probs, logp, h, b = policy_forward(params, x, A)
+    steps = [
+        (step, adv, ret)
+        for ep, advs in zip(episodes, advantages)
+        for step, adv, ret in zip(ep.steps, advs, step_returns(ep, gamma))
+    ]
+    for start in range(0, len(steps), GRAD_BLOCK):
+        block = steps[start : start + GRAD_BLOCK]
+        n = len(block)
+        X = np.empty((n, params["w1"].shape[1]))
+        H = np.empty((n, params["w1"].shape[0]))
+        ATD = np.empty((n, params["proj"].shape[1]))
+        dbase = np.empty(n)
+        for i, (step, adv, ret) in enumerate(block):
+            probs, logp, h, b = policy_forward(params, step.features, step.action_matrix)
             entropy = -float(np.sum(probs * logp))
-            dlogits = -advs[t] * probs
-            dlogits[k] += advs[t]
+            dlogits = -adv * probs
+            dlogits[step.chosen] += adv
             dlogits += entropy_weight * (-probs * (logp + entropy))
-            dbase = -(b - returns[t])
-            atd = A.T @ dlogits  # (2d,)
-            dh = params["proj"] @ atd + dbase * params["v_w"]
-            dh_pre = dh * (1.0 - h * h)
-            grads["w1"] += np.outer(dh_pre, x)
-            grads["b1"] += dh_pre
-            grads["proj"] += np.outer(h, atd)
-            grads["v_w"] += dbase * h
-            grads["v_b"][0] += dbase
+            X[i] = step.features
+            H[i] = h
+            ATD[i] = step.action_matrix.T @ dlogits
+            dbase[i] = ret - b
+        dh_pre = (ATD @ params["proj"].T + dbase[:, None] * params["v_w"]) * (1.0 - H * H)
+        grads["w1"] += dh_pre.T @ X
+        grads["b1"] += dh_pre.sum(axis=0)
+        grads["proj"] += H.T @ ATD
+        grads["v_w"] += dbase @ H
+        grads["v_b"][0] += dbase.sum()
     return grads
 
 
@@ -341,8 +361,7 @@ def save_policy(params: dict[str, np.ndarray], path: str, cfg: AgentConfig, d: i
 
 def load_policy(path: str) -> tuple[dict[str, np.ndarray], AgentConfig, int]:
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
-        if magic != POL_MAGIC:
+        if fh.readline().rstrip(b"\n") != POL_MAGIC.encode():
             raise DataError(f"{path}: not a {POL_MAGIC} file")
         try:
             echo = json.loads(fh.readline().decode())

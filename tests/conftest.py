@@ -37,6 +37,14 @@ def make_tiny_kg(with_school: bool = False) -> KnowledgeGraph:
     return KnowledgeGraph(vocab, edges)
 
 
+def put_bad_byte(path, at: int) -> str:
+    """Overwrite byte `at` of the file with 0xff, which no UTF-8 text contains."""
+    data = bytearray(path.read_bytes())
+    data[at] = 0xFF
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
 @pytest.fixture
 def tiny_kg() -> KnowledgeGraph:
     return make_tiny_kg()

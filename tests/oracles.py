@@ -1,14 +1,17 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 These deliberately avoid the library's own code paths: metrics are recomputed
-with plain loops, policy gradients with central finite differences, and beam
-results against exhaustive action-sequence enumeration.
+with plain loops, policy gradients with central finite differences and with a
+per-step loop of outer products, and beam results against exhaustive
+action-sequence enumeration.
 """
 
 import math
 
+import numpy as np
+
 from pathrec.environment import Path
-from pathrec.policy import batch_surrogate
+from pathrec.policy import batch_surrogate, policy_forward, step_returns
 
 
 def metrics_oracle(ranked, relevant, k):
@@ -52,6 +55,30 @@ def fd_policy_gradient_error(
         a = analytic[name].flat[flat_index]
         worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-4))
     return worst
+
+
+def reference_batch_gradients(params, episodes, advantages, entropy_weight, gamma):
+    """Gradient of `batch_surrogate`, accumulated step by step with outer products."""
+    grads = {key: np.zeros_like(arr) for key, arr in params.items()}
+    for ep, advs in zip(episodes, advantages):
+        returns = step_returns(ep, gamma)
+        for t, step in enumerate(ep.steps):
+            x, A, k = step.features, step.action_matrix, step.chosen
+            probs, logp, h, b = policy_forward(params, x, A)
+            entropy = -float(np.sum(probs * logp))
+            dlogits = -advs[t] * probs
+            dlogits[k] += advs[t]
+            dlogits += entropy_weight * (-probs * (logp + entropy))
+            dbase = -(b - returns[t])
+            atd = A.T @ dlogits
+            dh = params["proj"] @ atd + dbase * params["v_w"]
+            dh_pre = dh * (1.0 - h * h)
+            grads["w1"] += np.outer(dh_pre, x)
+            grads["b1"] += dh_pre
+            grads["proj"] += np.outer(h, atd)
+            grads["v_w"] += dbase * h
+            grads["v_b"][0] += dbase
+    return grads
 
 
 def enumerate_terminal_courses(env, learner, budget, train_courses):

@@ -5,6 +5,8 @@ import pytest
 
 from pathrec.cli import main
 
+from conftest import put_bad_byte
+
 SMALL_CONFIG = """
 data.dir = {root}/data
 data.out = {root}/out
@@ -138,6 +140,14 @@ def test_unknown_split_learner_exits_5(pipeline, tmp_path):
     with open(out / "split.tsv", "a", encoding="utf-8") as fh:
         fh.write("ghost\ttrain\tc0000\n")
     assert main(["train-agent", "--config", cfg]) == 5
+
+
+def test_non_utf8_graph_exits_5(pipeline, tmp_path, capsys):
+    root, _cfg = pipeline
+    out, cfg = _copy_run(root, tmp_path, ("graph.kg", "split.tsv", "embeddings_s0.emb"))
+    put_bad_byte(out / "graph.kg", 30)
+    assert main(["train-agent", "--config", cfg]) == 5
+    assert "graph.kg: not UTF-8" in capsys.readouterr().err
 
 
 def test_renamed_embedding_type_exits_4(pipeline, tmp_path):

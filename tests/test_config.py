@@ -86,6 +86,13 @@ def test_load_config_file(tmp_path):
     assert load_config(str(path)).eval_k == 5
 
 
+def test_non_utf8_config_is_config_error(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"eval.k = 5\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"run\.ini: not UTF-8"):
+        load_config(str(path))
+
+
 def test_default_config_text_matches_golden():
     assert default_config_text() == GOLDEN_CONFIG.read_text(encoding="utf-8")
 

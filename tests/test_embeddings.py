@@ -4,6 +4,7 @@ import pytest
 from pathrec.embeddings import (
     EmbedConfig,
     EmbeddingTable,
+    draw_negatives,
     grad_check_embeddings,
     init_embeddings,
     load_embeddings,
@@ -14,7 +15,7 @@ from pathrec.errors import ConfigError, DataError
 from pathrec.kg import KnowledgeGraph
 from pathrec.schema import EntityRef
 
-from conftest import DESK_EMBED
+from conftest import DESK_EMBED, put_bad_byte
 
 
 def manual_table():
@@ -153,6 +154,25 @@ class TestTraining:
             np.testing.assert_array_equal(a.relation[rel], b.relation[rel])
 
 
+class TestNegatives:
+    def test_one_draw_equals_per_row_draws(self):
+        # mixed tail sizes, including 1, powers of two and odd sizes
+        tail_sizes = [7, 1, 300, 2, 64, 5, 1, 1025, 3, 300]
+        m = 5
+        one, per_row = np.random.default_rng([3, 1]), np.random.default_rng([3, 1])
+        got = draw_negatives(one, tail_sizes, m)
+        want = np.stack([per_row.integers(0, n, size=m) for n in tail_sizes])
+        assert got.shape == (len(tail_sizes), m)
+        np.testing.assert_array_equal(got, want)
+        assert one.random() == per_row.random()
+
+    def test_rows_stay_within_their_tail_type(self):
+        tail_sizes = [2, 9, 1, 40]
+        got = draw_negatives(np.random.default_rng(0), tail_sizes, 50)
+        assert np.all(got >= 0)
+        assert np.all(got < np.array(tail_sizes)[:, None])
+
+
 class TestGradCheck:
     def test_max_relative_error_under_1e4(self):
         err = grad_check_embeddings(EmbedConfig(d=6, seed=3), sample_size=100)
@@ -182,6 +202,13 @@ class TestCheckpoint:
         path.write_bytes(b"something else\n")
         with pytest.raises(DataError):
             load_embeddings(str(path))
+
+    def test_non_utf8_magic_is_data_error(self, tiny_kg, tmp_path):
+        cfg = EmbedConfig(d=4, seed=0)
+        path = tmp_path / "e.emb"
+        save_embeddings(init_embeddings(tiny_kg, cfg), str(path), cfg)
+        with pytest.raises(DataError, match=r"e\.emb: not a UPGPR-EMB v1 file"):
+            load_embeddings(put_bad_byte(path, 3))
 
     def test_matches_graph(self, tiny_kg, synth_kg):
         table = init_embeddings(tiny_kg, EmbedConfig(d=4, seed=0))

@@ -9,9 +9,11 @@ from pathrec.environment import (
     load_pattern_whitelist,
     reward,
 )
-from pathrec.errors import ConfigError
+from pathrec.errors import ConfigError, DataError
 from pathrec.kg import KnowledgeGraph
 from pathrec.schema import SELF_LOOP, EntityRef
+
+from conftest import put_bad_byte
 
 L = lambda i: EntityRef("learner", i)
 C = lambda i: EntityRef("course", i)
@@ -261,3 +263,10 @@ def test_whitelist_file_parsing(tmp_path):
         ("enrolled", "enrolled_inv", "enrolled"),
         ("enrolled", "teaches_inv", "teaches"),
     }
+
+
+def test_whitelist_non_utf8_byte_is_data_error(tmp_path):
+    path = tmp_path / "patterns.txt"
+    path.write_text("enrolled|enrolled_inv|enrolled\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"patterns\.txt: not UTF-8"):
+        load_pattern_whitelist(put_bad_byte(path, 4))

@@ -3,7 +3,7 @@ import pytest
 
 from pathrec.embeddings import EmbedConfig, init_embeddings
 from pathrec.environment import Path, PathEnv
-from pathrec.errors import ConfigError
+from pathrec.errors import ConfigError, DataError
 from pathrec.inference import (
     beam_search,
     load_recommendations,
@@ -14,7 +14,7 @@ from pathrec.inference import (
 from pathrec.policy import AgentConfig, init_policy, policy_forward, state_features
 from pathrec.schema import SELF_LOOP, EntityRef
 
-from conftest import make_tiny_kg
+from conftest import make_tiny_kg, put_bad_byte
 from oracles import enumerate_terminal_courses
 
 L = lambda i: EntityRef("learner", i)
@@ -164,3 +164,11 @@ class TestRecommendationIO:
             assert [i.course for i in got.items] == [i.course for i in want.items]
             assert [i.score for i in got.items] == [i.score for i in want.items]
             assert [i.best_path for i in got.items] == [i.best_path for i in want.items]
+
+    def test_non_utf8_byte_is_data_error(self, tmp_path):
+        kg, env, params = tiny_setup()
+        lists, _ = recommend_all([L(0)], env, params, TRAIN, (10, 10, 10), n=5)
+        path = tmp_path / "recs.jsonl"
+        write_recommendations(lists, kg, str(path))
+        with pytest.raises(DataError, match=r"recs\.jsonl: not UTF-8"):
+            load_recommendations(put_bad_byte(path, 5), kg, n=5)

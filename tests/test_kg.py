@@ -22,7 +22,7 @@ from pathrec.kg import (
 )
 from pathrec.schema import EntityRef, inverse_of
 
-from conftest import make_tiny_kg
+from conftest import make_tiny_kg, put_bad_byte
 
 
 def write_tsv(path, rows):
@@ -69,6 +69,12 @@ class TestIngest:
         path.write_text("u1\tc1\nu2\tc1\textra\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"enrollments\.tsv:2"):
             ingest({"enrolled": str(path)})
+
+    def test_non_utf8_byte_is_data_error(self, tmp_path):
+        path = tmp_path / "enrollments.tsv"
+        write_tsv(path, [("u1", "c1"), ("u2", "c1")])
+        with pytest.raises(DataError, match=r"enrollments\.tsv: not UTF-8"):
+            ingest({"enrolled": put_bad_byte(path, 7)})
 
     def test_unknown_relation_rejected(self, tmp_path):
         f = write_tsv(tmp_path / "x.tsv", [("a", "b")])
@@ -224,6 +230,12 @@ class TestSplit:
         assert tg.edges["teaches"] == synth_kg.edges["teaches"]
         assert tg.edges["enrolled"] == synth_split.enrollment_pairs("train")
 
+    def test_load_non_utf8_byte_is_data_error(self, tmp_path):
+        kg, path = make_tiny_kg(), tmp_path / "split.tsv"
+        save_split(split_enrollments(kg, seed=0), kg, str(path))
+        with pytest.raises(DataError, match=r"split\.tsv: not UTF-8"):
+            load_split(put_bad_byte(path, 1), kg)
+
     def test_save_load_roundtrip(self, synth_kg, synth_split, tmp_path):
         path = tmp_path / "split.tsv"
         save_split(synth_split, synth_kg, str(path))
@@ -303,6 +315,12 @@ class TestSerialization:
         with pytest.raises(DataError, match="unexpected section"):
             load_graph(path)
 
+    def test_non_utf8_byte_is_data_error(self, tiny_kg, tmp_path):
+        path = tmp_path / "g.kg"
+        save_graph(tiny_kg, str(path))
+        with pytest.raises(DataError, match=r"g\.kg: not UTF-8"):
+            load_graph(put_bad_byte(path, 30))
+
     def test_short_section_body_is_data_error(self, tiny_kg, tmp_path):
         path = tmp_path / "g.kg"
         save_graph(tiny_kg, str(path))
@@ -346,6 +364,14 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def flip_bit(path, at: int, bit: int) -> str:
+    """Flip one bit of the file, at a byte offset taken modulo its size."""
+    data = bytearray(path.read_bytes())
+    data[at % len(data)] ^= 1 << bit
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
 def _only_data_error(load, *args):
     with time_limit(5):
         try:
@@ -374,3 +400,17 @@ class TestLoaderFuzz:
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text(data.draw(damaged(lines)), encoding="utf-8")
         _only_data_error(load_split, str(path), kg)
+
+    @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))
+    @settings(max_examples=100)
+    def test_load_graph_bit_flip(self, fuzz_dir, at, bit):
+        path = fuzz_dir / "g.kg"
+        save_graph(make_tiny_kg(with_school=True), str(path))
+        _only_data_error(load_graph, flip_bit(path, at, bit))
+
+    @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))
+    @settings(max_examples=100)
+    def test_load_split_bit_flip(self, fuzz_dir, at, bit):
+        kg, path = make_tiny_kg(), fuzz_dir / "split.tsv"
+        save_split(split_enrollments(kg, (0.5, 0.25, 0.25), seed=0), kg, str(path))
+        _only_data_error(load_split, flip_bit(path, at, bit), kg)

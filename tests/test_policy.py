@@ -6,6 +6,7 @@ from pathrec.environment import PathEnv, RewardSpec
 from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
 from pathrec.optim import Adam
 from pathrec.policy import (
+    GRAD_BLOCK,
     AgentConfig,
     batch_gradients,
     compute_advantages,
@@ -21,8 +22,8 @@ from pathrec.policy import (
 )
 from pathrec.schema import SELF_LOOP, EntityRef
 
-from conftest import make_tiny_kg
-from oracles import fd_policy_gradient_error
+from conftest import make_tiny_kg, put_bad_byte
+from oracles import fd_policy_gradient_error, reference_batch_gradients
 
 TRAIN = {0: frozenset({0, 1, 2}), 1: frozenset({0, 1}), 2: frozenset({2, 3}), 3: frozenset({4})}
 BINARY = RewardSpec(mode="binary", train_enrollments=TRAIN)
@@ -165,6 +166,17 @@ def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6):
     return params, episodes
 
 
+def blocked_batch():
+    """A frozen batch longer than one gradient block, with varied advantages."""
+    params, episodes = frozen_batch(d=4, n_episodes=GRAD_BLOCK // 4 + 17, hidden=8)
+    rng = np.random.default_rng(7)
+    params["v_w"] = rng.normal(scale=0.5, size=params["v_w"].shape)
+    for ep in episodes:
+        ep.reward = float(rng.random())
+    assert sum(len(ep.steps) for ep in episodes) > GRAD_BLOCK
+    return params, episodes, compute_advantages(params, episodes, gamma=0.9)
+
+
 class TestReinforceUpdate:
     def test_zero_advantage_moves_only_entropy(self):
         params, episodes = frozen_batch()
@@ -192,6 +204,23 @@ class TestReinforceUpdate:
             analytic, probes=60, rng=np.random.default_rng(0),
         )
         assert err <= 1e-3
+
+    def test_gradient_matches_per_step_oracle(self):
+        params, episodes, advantages = blocked_batch()
+        got = batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        want = reference_batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        for key in params:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
+
+    def test_gradient_is_additive_over_episodes(self):
+        params, episodes, advantages = blocked_batch()
+        whole = batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        half = len(episodes) // 2 + 1  # so the halves' block boundaries differ from the whole's
+        first = batch_gradients(params, episodes[:half], advantages[:half], 0.05, 0.9)
+        second = batch_gradients(params, episodes[half:], advantages[half:], 0.05, 0.9)
+        for key in params:
+            np.testing.assert_allclose(whole[key], first[key] + second[key], rtol=1e-12,
+                                       atol=0, err_msg=key)
 
     def test_zero_learning_rate_keeps_params(self):
         params, episodes = frozen_batch()
@@ -277,6 +306,13 @@ class TestCheckpoint:
         path.write_bytes(b"nope\n")
         with pytest.raises(DataError):
             load_policy(str(path))
+
+    def test_non_utf8_magic_is_data_error(self, tmp_path):
+        cfg = AgentConfig(hidden=8, seed=0)
+        path = tmp_path / "p.pol"
+        save_policy(init_policy(4, cfg), str(path), cfg, d=4)
+        with pytest.raises(DataError, match=r"p\.pol: not a UPGPR-POL v1 file"):
+            load_policy(put_bad_byte(path, 3))
 
     def test_truncated_file_rejected(self, tmp_path):
         cfg = AgentConfig(hidden=8, seed=0)
