@@ -14,7 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CheckpointMismatchError, ConfigError, DataError, DivergenceError
+from .errors import (
+    CheckpointMismatchError, ConfigError, DataError, DivergenceError, read_declared,
+)
 from .kg import KnowledgeGraph
 from .optim import make_optimizer, softplus, stable_sigmoid
 from .schema import (
@@ -328,20 +330,23 @@ def load_embeddings(path: str) -> tuple[EmbeddingTable, EmbedConfig]:
             raise DataError(f"{path}: not a {EMB_MAGIC} file")
         try:
             cfg = EmbedConfig(**json.loads(fh.readline().decode()))
+            cfg.validate()
             d, n_types = struct.unpack("<II", fh.read(8))
             entity = {}
             for _ in range(n_types):
                 name_len, count = struct.unpack("<HI", fh.read(6))
                 etype = fh.read(name_len).decode()
-                data = np.frombuffer(fh.read(count * d * 4), dtype="<f4")
+                data = np.frombuffer(read_declared(fh, count * d * 4, path), dtype="<f4")
                 entity[etype] = data.reshape(count, d).astype(np.float64)
             (n_rels,) = struct.unpack("<I", fh.read(4))
             relation = {}
             for _ in range(n_rels):
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 rel = fh.read(name_len).decode()
-                relation[rel] = np.frombuffer(fh.read(d * 4), dtype="<f4").astype(np.float64)
-        except (struct.error, ValueError, TypeError) as exc:
+                relation[rel] = np.frombuffer(
+                    read_declared(fh, d * 4, path), dtype="<f4"
+                ).astype(np.float64)
+        except (ConfigError, struct.error, ValueError, TypeError) as exc:
             raise DataError(f"{path}: corrupt embedding checkpoint") from exc
     if cfg.d != d:
         raise CheckpointMismatchError(f"{path}: header d={d} but config echo d={cfg.d}")

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the text reader that maps
-undecodable input onto them."""
+"""Exception types shared across the package, and the readers that map
+undecodable or truncated input onto them."""
 
+import os
 from contextlib import contextmanager
 
 
@@ -32,3 +33,12 @@ def open_text(path: str, error: type[PathrecError] = DataError):
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_declared(fh, n: int, path: str) -> bytes:
+    """The next `n` bytes of binary file `fh`, where `n` is a size the file itself
+    declares; a size past the end of the file raises DataError before any read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= n <= left:
+        raise DataError(f"{path}: a field declares {n} bytes, but {left} remain")
+    return fh.read(n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Path, PathEnv
+from .environment import Action, EnvState, Path, PathEnv
 from .errors import ConfigError, DataError, open_text
 from .kg import KnowledgeGraph
 from .policy import policy_forward, state_features
@@ -52,7 +52,12 @@ def beam_search(
     """All completed budget-length paths surviving per-level truncation.
 
     At level k each surviving prefix keeps its beam_widths[k] most probable
-    actions (ties broken by action order, so runs are reproducible).
+    actions (ties broken by action order, so runs are reproducible). The
+    policy sees only the current entity and the history, so the prefixes of
+    a level that stand in the same state share one expansion: its action
+    set, features, forward pass, top actions and child states are computed
+    once, for the first such prefix. Prefixes are still grown in order, so
+    the list and its floats are those of expanding every prefix on its own.
     """
     if hop_budget is not None and len(beam_widths) != hop_budget:
         raise ConfigError(
@@ -62,15 +67,23 @@ def beam_search(
         raise ConfigError("beam widths must be >= 1")
     beams = [(env.initial_state(learner, len(beam_widths)), (), 0.0)]
     for width in beam_widths:
+        expansions: dict[tuple, list[tuple[EnvState, Action, float]]] = {}
         grown = []
         for state, hops, acc in beams:
-            aset = env.action_set(state.current)
-            x = state_features(state, env.embeddings, env.history_len)
-            _probs, logp, _h, _b = policy_forward(params, x, aset.matrix)
-            top = np.argsort(-logp, kind="stable")[:width]
-            for idx in top:
-                action = aset.actions[idx]
-                grown.append((env.step(state, action), (*hops, action), acc + float(logp[idx])))
+            key = (state.current, state.history)
+            children = expansions.get(key)
+            if children is None:
+                aset = env.action_set(state.current)
+                x = state_features(state, env.embeddings, env.history_len)
+                _probs, logp, _h, _b = policy_forward(params, x, aset.matrix)
+                top = np.argsort(-logp, kind="stable")[:width]
+                children = [
+                    (env.step(state, aset.actions[i]), aset.actions[i], float(logp[i]))
+                    for i in top
+                ]
+                expansions[key] = children
+            for child, action, lp in children:
+                grown.append((child, (*hops, action), acc + lp))
         beams = grown
     return [(Path(learner, hops), acc) for _state, hops, acc in beams]
 

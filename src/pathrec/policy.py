@@ -13,6 +13,7 @@ every step equals the episode reward.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -20,7 +21,9 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .environment import Path, PathEnv, RewardSpec, reward
-from .errors import CheckpointMismatchError, ConfigError, DataError, DivergenceError
+from .errors import (
+    CheckpointMismatchError, ConfigError, DataError, DivergenceError, read_declared,
+)
 from .kg import KnowledgeGraph
 from .optim import make_optimizer
 from .schema import SELF_LOOP, EntityRef
@@ -70,18 +73,23 @@ def feature_size(d: int, history: int) -> int:
     return 3 * d + history * 2 * d
 
 
+def policy_shapes(d: int, cfg: AgentConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter tensor; follows the embedding dimension and config."""
+    w, f = cfg.hidden, feature_size(d, cfg.history)
+    return {"w1": (w, f), "b1": (w,), "proj": (w, 2 * d), "v_w": (w,), "v_b": (1,)}
+
+
 def init_policy(d: int, cfg: AgentConfig) -> dict[str, np.ndarray]:
-    """Parameter pytree; shapes follow the embedding dimension and config."""
+    """Parameter pytree with the shapes of `policy_shapes`."""
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, 0])
-    f = feature_size(d, cfg.history)
-    w = cfg.hidden
+    shapes = policy_shapes(d, cfg)
     return {
-        "w1": rng.normal(0.0, 1.0 / np.sqrt(f), size=(w, f)),
-        "b1": np.zeros(w),
-        "proj": rng.normal(0.0, 0.1 / np.sqrt(w), size=(w, 2 * d)),
-        "v_w": np.zeros(w),
-        "v_b": np.zeros(1),
+        "w1": rng.normal(0.0, 1.0 / np.sqrt(shapes["w1"][1]), size=shapes["w1"]),
+        "b1": np.zeros(shapes["b1"]),
+        "proj": rng.normal(0.0, 0.1 / np.sqrt(cfg.hidden), size=shapes["proj"]),
+        "v_w": np.zeros(shapes["v_w"]),
+        "v_b": np.zeros(shapes["v_b"]),
     }
 
 
@@ -366,21 +374,22 @@ def load_policy(path: str) -> tuple[dict[str, np.ndarray], AgentConfig, int]:
         try:
             echo = json.loads(fh.readline().decode())
             cfg = AgentConfig(**echo["agent"])
+            cfg.validate()
             d = int(echo["d"])
+            if d <= 0:
+                raise DataError(f"{path}: corrupt policy checkpoint: echoed d={d}")
             (count,) = struct.unpack("<I", fh.read(4))
             params = {}
             for _ in range(count):
                 name_len, ndim = struct.unpack("<HB", fh.read(3))
                 name = fh.read(name_len).decode()
                 shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                n = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(fh.read(n * 4), dtype="<f4")
+                data = np.frombuffer(read_declared(fh, math.prod(shape) * 4, path), dtype="<f4")
                 params[name] = data.reshape(shape).astype(np.float64)
-        except (struct.error, ValueError, TypeError, KeyError) as exc:
+        except (ConfigError, struct.error, ValueError, TypeError, KeyError) as exc:
             raise DataError(f"{path}: corrupt policy checkpoint") from exc
-    expected = init_policy(d, cfg)
-    for name, arr in expected.items():
-        if name not in params or params[name].shape != arr.shape:
+    for name, shape in policy_shapes(d, cfg).items():
+        if name not in params or params[name].shape != shape:
             raise CheckpointMismatchError(
                 f"{path}: tensor {name!r} missing or shaped unlike the echoed config"
             )

@@ -45,6 +45,19 @@ def put_bad_byte(path, at: int) -> str:
     return str(path)
 
 
+def flip_bit(path, at: int, bit: int) -> str:
+    """Flip one bit of the file, at a byte offset taken modulo its size."""
+    data = bytearray(path.read_bytes())
+    data[at % len(data)] ^= 1 << bit
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
 @pytest.fixture
 def tiny_kg() -> KnowledgeGraph:
     return make_tiny_kg()

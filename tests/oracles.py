@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: metrics are recomputed
 with plain loops, policy gradients with central finite differences and with a
 per-step loop of outer products, and beam results against exhaustive
-action-sequence enumeration.
+action-sequence enumeration and against a beam search that expands every
+prefix on its own.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from pathrec.environment import Path
-from pathrec.policy import batch_surrogate, policy_forward, step_returns
+from pathrec.policy import batch_surrogate, policy_forward, state_features, step_returns
 
 
 def metrics_oracle(ranked, relevant, k):
@@ -79,6 +80,23 @@ def reference_batch_gradients(params, episodes, advantages, entropy_weight, gamm
             grads["v_w"] += dbase * h
             grads["v_b"][0] += dbase
     return grads
+
+
+def reference_beam_search(learner, env, params, beam_widths):
+    """`beam_search` with one action set, forward pass and argsort per prefix."""
+    beams = [(env.initial_state(learner, len(beam_widths)), (), 0.0)]
+    for width in beam_widths:
+        grown = []
+        for state, hops, acc in beams:
+            aset = env.action_set(state.current)
+            x = state_features(state, env.embeddings, env.history_len)
+            _probs, logp, _h, _b = policy_forward(params, x, aset.matrix)
+            top = np.argsort(-logp, kind="stable")[:width]
+            for idx in top:
+                action = aset.actions[idx]
+                grown.append((env.step(state, action), (*hops, action), acc + float(logp[idx])))
+        beams = grown
+    return [(Path(learner, hops), acc) for _state, hops, acc in beams]
 
 
 def enumerate_terminal_courses(env, learner, budget, train_courses):

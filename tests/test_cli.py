@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,15 @@ synth.n_clusters = 2
 """
 
 
+# recommendations_s0.jsonl of the SMALL_CONFIG chain below (synth through
+# recommend at seed 0), written before beam search shared its expansions
+GOLDEN_RECS = Path(__file__).parent / "golden" / "recommendations_s0.jsonl"
+# Learners, courses and paths must match exactly. A score is a sum of float64
+# log-probabilities, and a rewrite that batches or reorders that arithmetic
+# may move its last bits, so scores match within this absolute tolerance.
+GOLDEN_SCORE_ABS = 1e-9
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -54,6 +64,23 @@ def test_pipeline_artifacts_exist(pipeline):
     for name in ("graph.kg", "split.tsv", "embeddings_s0.emb", "policy_s0.pol",
                  "agent_log_s0.csv", "recommendations_s0.jsonl"):
         assert (out / name).exists(), name
+
+
+def test_recommendations_match_golden(pipeline):
+    root, _cfg = pipeline
+
+    def read(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    got, want = read(root / "out" / "recommendations_s0.jsonl"), read(GOLDEN_RECS)
+    assert [rec["learner"] for rec in got] == [rec["learner"] for rec in want]
+    for g, w in zip(got, want):
+        assert [(it["course"], it["path"]) for it in g["items"]] == [
+            (it["course"], it["path"]) for it in w["items"]
+        ], g["learner"]
+        assert [it["score"] for it in g["items"]] == pytest.approx(
+            [it["score"] for it in w["items"]], rel=0, abs=GOLDEN_SCORE_ABS
+        ), g["learner"]
 
 
 def test_evaluate_and_patterns_round_trip(pipeline):
@@ -160,6 +187,18 @@ def test_renamed_embedding_type_exits_4(pipeline, tmp_path):
     assert data.count(b"learner") == 1
     emb.write_bytes(data.replace(b"learner", b"learnex"))
     assert main(["recommend", "--config", cfg]) == 4
+
+
+def test_corrupt_policy_config_echo_exits_5(pipeline, tmp_path):
+    root, _cfg = pipeline
+    out, cfg = _copy_run(
+        root, tmp_path, ("graph.kg", "split.tsv", "embeddings_s0.emb", "policy_s0.pol")
+    )
+    pol = out / "policy_s0.pol"
+    data = pol.read_bytes()
+    assert data.count(b'"gamma": 1.0') == 1
+    pol.write_bytes(data.replace(b'"gamma": 1.0', b'"gamma": 9.0'))
+    assert main(["recommend", "--config", cfg]) == 5
 
 
 def test_missing_checkpoint_exits_3(pipeline):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathrec.embeddings import (
     EmbedConfig,
@@ -11,11 +13,11 @@ from pathrec.embeddings import (
     save_embeddings,
     train_embeddings,
 )
-from pathrec.errors import ConfigError, DataError
+from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
 from pathrec.kg import KnowledgeGraph
 from pathrec.schema import EntityRef
 
-from conftest import DESK_EMBED, put_bad_byte
+from conftest import DESK_EMBED, flip_bit, make_tiny_kg, put_bad_byte
 
 
 def manual_table():
@@ -209,6 +211,39 @@ class TestCheckpoint:
         save_embeddings(init_embeddings(tiny_kg, cfg), str(path), cfg)
         with pytest.raises(DataError, match=r"e\.emb: not a UPGPR-EMB v1 file"):
             load_embeddings(put_bad_byte(path, 3))
+
+    def test_declared_size_past_end_is_data_error(self, tiny_kg, tmp_path):
+        cfg = EmbedConfig(d=4, seed=0)
+        path = tmp_path / "e.emb"
+        save_embeddings(init_embeddings(tiny_kg, cfg), str(path), cfg)
+        data = bytearray(path.read_bytes())
+        header = data.index(b"\n", data.index(b"\n") + 1) + 1
+        # magic and echo lines, <II d and type count, <H name length, then
+        # the first type's <I row count: make its top byte 0x7f
+        data[header + 8 + 2 + 3] = 0x7F
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="declares .* bytes"):
+            load_embeddings(str(path))
+
+    def test_config_echo_out_of_range_is_data_error(self, tiny_kg, tmp_path):
+        cfg = EmbedConfig(d=4, seed=0)
+        path = tmp_path / "e.emb"
+        save_embeddings(init_embeddings(tiny_kg, cfg), str(path), cfg)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"batch_size": 512', b'"batch_size": -12', 1))
+        with pytest.raises(DataError, match="corrupt embedding checkpoint"):
+            load_embeddings(str(path))
+
+    @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))
+    @settings(max_examples=500)
+    def test_bit_flip_raises_only_typed_errors(self, fuzz_dir, at, bit):
+        cfg = EmbedConfig(d=4, seed=0)
+        path = fuzz_dir / "e.emb"
+        save_embeddings(init_embeddings(make_tiny_kg(), cfg), str(path), cfg)
+        try:
+            load_embeddings(flip_bit(path, at, bit))
+        except (DataError, CheckpointMismatchError):
+            pass
 
     def test_matches_graph(self, tiny_kg, synth_kg):
         table = init_embeddings(tiny_kg, EmbedConfig(d=4, seed=0))

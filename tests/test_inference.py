@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pathrec import inference
 from pathrec.embeddings import EmbedConfig, init_embeddings
 from pathrec.environment import Path, PathEnv
 from pathrec.errors import ConfigError, DataError
@@ -13,9 +14,10 @@ from pathrec.inference import (
 )
 from pathrec.policy import AgentConfig, init_policy, policy_forward, state_features
 from pathrec.schema import SELF_LOOP, EntityRef
+from pathrec.synthetic import SynthConfig, generate
 
 from conftest import make_tiny_kg, put_bad_byte
-from oracles import enumerate_terminal_courses
+from oracles import enumerate_terminal_courses, reference_beam_search
 
 L = lambda i: EntityRef("learner", i)
 C = lambda i: EntityRef("course", i)
@@ -29,6 +31,20 @@ def tiny_setup(d=4, seed=1, hidden=8):
     table = init_embeddings(kg, EmbedConfig(d=d, seed=seed))
     env = PathEnv(kg, table, max_actions=250, history_len=1)
     params = init_policy(d, AgentConfig(hidden=hidden, seed=seed))
+    return kg, env, params
+
+
+FIVE_HOPS = (6, 4, 3, 2, 2)
+
+
+def synth_setup(history, d=6, hidden=8):
+    """A small generated graph, untrained embeddings and an untrained policy."""
+    kg = generate(SynthConfig(
+        n_learners=12, n_courses=15, n_teachers=3, n_categories=2, n_concepts=5, n_clusters=2,
+    ))
+    table = init_embeddings(kg, EmbedConfig(d=d, seed=2))
+    env = PathEnv(kg, table, max_actions=250, history_len=history)
+    params = init_policy(d, AgentConfig(hidden=hidden, history=history, seed=3))
     return kg, env, params
 
 
@@ -77,6 +93,50 @@ class TestBeamSearch:
             }
             oracle = enumerate_terminal_courses(env, learner, 3, TRAIN[learner.index])
             assert beam_courses == oracle
+
+    def test_equals_per_prefix_reference_on_tiny_graph(self):
+        kg, env, params = tiny_setup()
+        cap = 1 + max(len(kg.neighbors(ref)) for ref in env.kg._adjacency)
+        for widths in ((cap, cap, cap), (4, 3, 2), (1, 1, 1)):
+            for learner in kg.learners():
+                assert beam_search(learner, env, params, widths) == reference_beam_search(
+                    learner, env, params, widths
+                ), (widths, learner)
+
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_equals_per_prefix_reference_on_five_hops(self, history):
+        kg, env, params = synth_setup(history)
+        for learner in kg.learners()[:4]:
+            assert beam_search(learner, env, params, FIVE_HOPS) == reference_beam_search(
+                learner, env, params, FIVE_HOPS
+            ), learner
+
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_one_forward_pass_per_distinct_state(self, monkeypatch, history):
+        kg, env, params = synth_setup(history)
+        learner = kg.learners()[0]
+        calls = []
+
+        def counting_forward(*args):
+            calls.append(args)
+            return policy_forward(*args)
+
+        monkeypatch.setattr(inference, "policy_forward", counting_forward)
+        paths = beam_search(learner, env, params, FIVE_HOPS)
+        # every prefix keeps at least its self-loop, so the prefixes of level
+        # k are exactly the distinct k-hop heads of the returned paths
+        n_prefixes = n_states = 0
+        for k in range(len(FIVE_HOPS)):
+            heads = {path.hops[:k] for path, _ in paths}
+            states = set()
+            for hops in heads:
+                state = env.initial_state(learner, len(FIVE_HOPS))
+                for action in hops:
+                    state = env.step(state, action)
+                states.add((state.current, state.history))
+            n_prefixes += len(heads)
+            n_states += len(states)
+        assert len(calls) == n_states < n_prefixes
 
     def test_width_mismatch_rejected(self):
         _kg, env, params = tiny_setup()

@@ -22,7 +22,7 @@ from pathrec.kg import (
 )
 from pathrec.schema import EntityRef, inverse_of
 
-from conftest import make_tiny_kg, put_bad_byte
+from conftest import flip_bit, make_tiny_kg, put_bad_byte
 
 
 def write_tsv(path, rows):
@@ -357,19 +357,6 @@ def damaged(draw, lines: list[str]) -> str:
             )
             lines[i] = "\t".join(cols)
     return "\n".join(lines) + "\n"
-
-
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
-
-
-def flip_bit(path, at: int, bit: int) -> str:
-    """Flip one bit of the file, at a byte offset taken modulo its size."""
-    data = bytearray(path.read_bytes())
-    data[at % len(data)] ^= 1 << bit
-    path.write_bytes(bytes(data))
-    return str(path)
 
 
 def _only_data_error(load, *args):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathrec.embeddings import EmbedConfig, init_embeddings
 from pathrec.environment import PathEnv, RewardSpec
@@ -22,7 +24,7 @@ from pathrec.policy import (
 )
 from pathrec.schema import SELF_LOOP, EntityRef
 
-from conftest import make_tiny_kg, put_bad_byte
+from conftest import flip_bit, make_tiny_kg, put_bad_byte
 from oracles import fd_policy_gradient_error, reference_batch_gradients
 
 TRAIN = {0: frozenset({0, 1, 2}), 1: frozenset({0, 1}), 2: frozenset({2, 3}), 3: frozenset({4})}
@@ -323,3 +325,44 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises((DataError, CheckpointMismatchError)):
             load_policy(str(path))
+
+    def test_declared_size_past_end_is_data_error(self, tmp_path):
+        cfg = AgentConfig(hidden=8, seed=0)
+        path = tmp_path / "p.pol"
+        save_policy(init_policy(4, cfg), str(path), cfg, d=4)
+        data = bytearray(path.read_bytes())
+        header = data.index(b"\n", data.index(b"\n") + 1) + 1
+        # magic and echo lines, <I tensor count, then tensor "b1": <HB name
+        # length and ndim, the name, and its <I length: make its top byte 0x7f
+        assert data[header + 4 + 3 : header + 4 + 5] == b"b1"
+        data[header + 4 + 3 + 2 + 3] = 0x7F
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="declares .* bytes"):
+            load_policy(str(path))
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"gamma": 1.0', b'"gamma": 9.0'),
+        (b'"hidden": 8', b'"hidden": 0'),
+        (b'"d": 4', b'"d": 0'),
+        (b'"d": 4', b'"d": -4'),
+    ])
+    def test_config_echo_out_of_range_is_data_error(self, tmp_path, old, new):
+        cfg = AgentConfig(hidden=8, seed=0)
+        path = tmp_path / "p.pol"
+        save_policy(init_policy(4, cfg), str(path), cfg, d=4)
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        with pytest.raises(DataError, match="corrupt policy checkpoint"):
+            load_policy(str(path))
+
+    @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))
+    @settings(max_examples=500)
+    def test_bit_flip_raises_only_typed_errors(self, fuzz_dir, at, bit):
+        cfg = AgentConfig(hidden=8, seed=0)
+        path = fuzz_dir / "p.pol"
+        save_policy(init_policy(4, cfg), str(path), cfg, d=4)
+        try:
+            load_policy(flip_bit(path, at, bit))
+        except (DataError, CheckpointMismatchError):
+            pass
