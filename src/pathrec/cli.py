@@ -16,7 +16,9 @@ from . import synthetic
 from .config import RunConfig, default_config_text, load_config
 from .embeddings import load_embeddings, save_embeddings, train_embeddings
 from .environment import PathEnv, RewardSpec, load_pattern_whitelist
-from .errors import CheckpointMismatchError, ConfigError, DataError, PathrecError
+from .errors import (
+    CheckpointMismatchError, ConfigError, DataError, PathrecError, atomic_write,
+)
 from .inference import load_recommendations, recommend_all, write_recommendations
 from .metrics import (
     MetricsReport,
@@ -273,7 +275,7 @@ def cmd_run_all(cfg: RunConfig, args) -> int:
 
     save_report_json(reports, _out(cfg, "metrics.json"))
     table = format_report_table(reports)
-    with open(_out(cfg, "metrics.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(_out(cfg, "metrics.txt")) as fh:
         fh.write(table + "\n")
     print(table)
     print(f"saved {_out(cfg, 'metrics.json')}")

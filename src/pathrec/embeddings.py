@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
-    CheckpointMismatchError, ConfigError, DataError, DivergenceError, read_declared,
+    CheckpointMismatchError, ConfigError, DataError, DivergenceError, atomic_write,
+    read_declared,
 )
 from .kg import KnowledgeGraph
 from .optim import make_optimizer, softplus, stable_sigmoid
@@ -305,7 +306,7 @@ def grad_check_embeddings(cfg: EmbedConfig, sample_size: int = 100) -> float:
 
 def save_embeddings(table: EmbeddingTable, path: str, cfg: EmbedConfig) -> None:
     """Binary checkpoint: magic, config echo, then little-endian f32 matrices."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write((EMB_MAGIC + "\n").encode())
         fh.write((json.dumps(asdict(cfg), sort_keys=True) + "\n").encode())
         fh.write(struct.pack("<II", table.d, len(ENTITY_TYPES)))

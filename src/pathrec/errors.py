@@ -1,8 +1,8 @@
-"""Exception types shared across the package, and the readers that map
-undecodable or truncated input onto them."""
+"""Exception types shared across the package, the readers that map
+undecodable or truncated input onto them, and the one writer of artifacts."""
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 
 class PathrecError(Exception):
@@ -42,3 +42,25 @@ def read_declared(fh, n: int, path: str) -> bytes:
     if not 0 <= n <= left:
         raise DataError(f"{path}: a field declares {n} bytes, but {left} remain")
     return fh.read(n)
+
+
+@contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Write `path` through a temporary file beside it, which replaces `path` in
+    one `os.replace` when the block completes. If the block raises, the
+    temporary file is removed and `path` keeps its old content (or stays
+    absent). Text is UTF-8 with "\\n" line ends. There is no fsync: this guards
+    against a failing run, not against power loss."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        if binary:
+            fh = open(tmp, "xb")
+        else:
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

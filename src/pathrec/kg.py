@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_text
+from .errors import ConfigError, DataError, atomic_write, open_text
 from .schema import (
     ENTITY_TYPES,
     FORWARD_RELATIONS,
@@ -315,7 +315,7 @@ def save_graph(kg: KnowledgeGraph, path: str) -> None:
         pairs = sorted(kg.edges[rel])
         lines.append(f"rel\t{rel}\t{len(pairs)}")
         lines.extend(f"t\t{h}\t{t}" for h, t in pairs)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -352,7 +352,7 @@ def load_graph(path: str) -> KnowledgeGraph:
 
 def save_split(split: EnrollmentSplit, kg: KnowledgeGraph, path: str) -> None:
     """Write 'learner_id<TAB>{train|val|test}<TAB>course_id' lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for learner in kg.learners():
             raw_learner = kg.raw_id(learner)
             for part in ("train", "val", "test"):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DivergenceError
+from .errors import DataError, DivergenceError, atomic_write
 from .kg import EnrollmentSplit
 from .optim import stable_sigmoid
 from .schema import EntityRef
@@ -240,6 +240,6 @@ def format_report_table(reports: list[MetricsReport]) -> str:
 
 
 def save_report_json(reports: list[MetricsReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump([rep.to_dict() for rep in reports], fh, indent=2)
         fh.write("\n")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .environment import Path
-from .errors import DataError
+from .errors import DataError, atomic_write
 from .kg import KnowledgeGraph
 from .schema import RELATION_SCHEMA, SELF_LOOP, relation_types
 
@@ -134,7 +134,7 @@ def render_path_dot(path: Path, kg: KnowledgeGraph) -> str:
 
 
 def save_frequency_csv(rows: list[tuple[PathPattern, int, float]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("pattern,count,fraction\n")
         for pattern, count, fraction in rows:
             fh.write(f"{'|'.join(pattern.relations)},{count},{fraction:.6f}\n")

@@ -22,7 +22,8 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .environment import Path, PathEnv, RewardSpec, reward
 from .errors import (
-    CheckpointMismatchError, ConfigError, DataError, DivergenceError, read_declared,
+    CheckpointMismatchError, ConfigError, DataError, DivergenceError, atomic_write,
+    read_declared,
 )
 from .kg import KnowledgeGraph
 from .optim import make_optimizer
@@ -115,6 +116,28 @@ def state_features(state, table: EmbeddingTable, history: int) -> np.ndarray:
     return x
 
 
+def step_features(
+    features: np.ndarray, action_rows: np.ndarray, self_loop: np.ndarray, history: int
+) -> np.ndarray:
+    """`state_features` of the states one action on from the states of `features`.
+
+    Row i takes the action whose `ActionSet.matrix` row is action_rows[i] from
+    the state whose features are features[i]; self_loop[i] marks the self-loop.
+    Every value is copied or subtracted as `state_features` does, so the rows
+    are equal to it bit for bit.
+    """
+    d = action_rows.shape[1] // 2
+    out = np.empty_like(features)
+    out[:, :d] = features[:, :d]
+    out[:, d : 2 * d] = action_rows[:, d:]
+    out[:, 2 * d : 3 * d] = features[:, :d] - action_rows[:, d:]
+    if history:
+        out[:, 3 * d : 5 * d] = action_rows
+        out[self_loop, 4 * d : 5 * d] = 0.0
+        out[:, 5 * d :] = features[:, 3 * d : -2 * d]
+    return out
+
+
 def policy_forward(
     params: dict[str, np.ndarray], features: np.ndarray, action_matrix: np.ndarray
 ):
@@ -132,6 +155,16 @@ def policy_forward(
     log_probs = shifted - np.log(z)
     baseline = float(params["v_w"] @ h + params["v_b"][0])
     return probs, log_probs, h, baseline
+
+
+def action_queries(params: dict[str, np.ndarray], features: np.ndarray) -> np.ndarray:
+    """One query row per row of `features`: an action's logit is its matrix row
+    dotted with the query.
+
+    This is the hidden layer of `policy_forward` for a stack of states, one
+    matrix product per weight; a row equals its `proj.T @ h` up to rounding.
+    """
+    return np.tanh(features @ params["w1"].T + params["b1"]) @ params["proj"]
 
 
 @dataclass
@@ -308,7 +341,7 @@ class TrainingLog:
         self.mean_entropy.append(mean_entropy)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             fh.write("epoch,mean_reward,mean_entropy\n")
             for e, r, h in zip(self.epochs, self.mean_reward, self.mean_entropy):
                 fh.write(f"{e},{r:.6f},{h:.6f}\n")
@@ -354,7 +387,7 @@ def train_agent(
 def save_policy(params: dict[str, np.ndarray], path: str, cfg: AgentConfig, d: int) -> None:
     """Binary checkpoint: magic, config echo (incl. d), f32 tensors."""
     echo = {"agent": asdict(cfg), "d": d}
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write((POL_MAGIC + "\n").encode())
         fh.write((json.dumps(echo, sort_keys=True) + "\n").encode())
         fh.write(struct.pack("<I", len(params)))

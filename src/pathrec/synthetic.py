@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, atomic_write
 from .kg import KnowledgeGraph, graph_from_raw_edges
 
 RawEdges = dict[str, list[tuple[str, str]]]
@@ -125,7 +125,7 @@ def write_tsvs(cfg: SynthConfig, out_dir: str) -> dict[str, str]:
     paths: dict[str, str] = {}
     for rel, pairs in generate_edges(cfg).items():
         path = os.path.join(out_dir, f"{rel if rel != 'enrolled' else 'enrollments'}.tsv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             fh.writelines(f"{h}\t{t}\n" for h, t in pairs)
         paths[rel] = path
     return paths

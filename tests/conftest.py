@@ -11,6 +11,12 @@ from pathrec.synthetic import SynthConfig, generate
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
 
+# Golden and cross-run recommendation scores: learners, courses and paths must
+# match exactly. A score is a sum of float64 log-probabilities, and a rewrite
+# that batches or reorders that arithmetic may move its last bits, so scores
+# match within this absolute tolerance.
+GOLDEN_SCORE_ABS = 1e-9
+
 # desk-scale settings shared by the pipeline-level tests; module defaults
 # target full datasets and are exercised separately
 DESK_EMBED = EmbedConfig(d=24, epochs=40, learning_rate=5e-3, batch_size=256, seed=0)

@@ -6,7 +6,7 @@ import pytest
 
 from pathrec.cli import main
 
-from conftest import put_bad_byte
+from conftest import GOLDEN_SCORE_ABS, put_bad_byte
 
 SMALL_CONFIG = """
 data.dir = {root}/data
@@ -35,10 +35,7 @@ synth.n_clusters = 2
 # recommendations_s0.jsonl of the SMALL_CONFIG chain below (synth through
 # recommend at seed 0), written before beam search shared its expansions
 GOLDEN_RECS = Path(__file__).parent / "golden" / "recommendations_s0.jsonl"
-# Learners, courses and paths must match exactly. A score is a sum of float64
-# log-probabilities, and a rewrite that batches or reorders that arithmetic
-# may move its last bits, so scores match within this absolute tolerance.
-GOLDEN_SCORE_ABS = 1e-9
+# Learners, courses and paths must match exactly; scores within GOLDEN_SCORE_ABS.
 
 
 @pytest.fixture(scope="module")

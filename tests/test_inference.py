@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathrec import inference
 from pathrec.embeddings import EmbedConfig, init_embeddings
@@ -12,11 +19,13 @@ from pathrec.inference import (
     recommend_all,
     write_recommendations,
 )
-from pathrec.policy import AgentConfig, init_policy, policy_forward, state_features
+from pathrec.policy import (
+    AgentConfig, action_queries, init_policy, policy_forward, state_features,
+)
 from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
-from conftest import make_tiny_kg, put_bad_byte
+from conftest import GOLDEN_SCORE_ABS, flip_bit, make_tiny_kg, put_bad_byte
 from oracles import enumerate_terminal_courses, reference_beam_search
 
 L = lambda i: EntityRef("learner", i)
@@ -35,6 +44,22 @@ def tiny_setup(d=4, seed=1, hidden=8):
 
 
 FIVE_HOPS = (6, 4, 3, 2, 2)
+BENCHMARK_WIDTHS = ((25, 10, 10), (25, 5, 5, 5, 1))
+
+# Beam search scores a level's states with one batched hidden layer and sums
+# each action set's softmax as a segment, so its log-probabilities round
+# differently from the per-prefix oracle's one-state `policy_forward`: by a few
+# ulp per hop (at most 5.3e-15 seen on the benchmark graphs). A path score sums
+# at most 5 hops of order 1-10, so 1e-12 leaves two orders of magnitude of room
+# and is still far below any score gap that could reorder a list. Paths and
+# their order must match exactly.
+BEAM_SCORE_ABS = 1e-12
+
+
+def assert_matches_oracle(got, want):
+    assert [path for path, _ in got] == [path for path, _ in want]
+    worst = max((abs(a - b) for (_, a), (_, b) in zip(got, want)), default=0.0)
+    assert worst <= BEAM_SCORE_ABS, worst
 
 
 def synth_setup(history, d=6, hidden=8):
@@ -46,6 +71,43 @@ def synth_setup(history, d=6, hidden=8):
     env = PathEnv(kg, table, max_actions=250, history_len=history)
     params = init_policy(d, AgentConfig(hidden=hidden, history=history, seed=3))
     return kg, env, params
+
+
+# beam search at PGPR width (d=100, hidden 512) on the generated graph; prints
+# each returned path's hops and score as JSON
+BEAM_SCRIPT = """
+import json
+import numpy as np
+from pathrec.embeddings import EmbedConfig, init_embeddings
+from pathrec.environment import PathEnv
+from pathrec.inference import beam_search
+from pathrec.policy import AgentConfig, init_policy
+from pathrec.synthetic import SynthConfig, generate
+
+kg = generate(SynthConfig(
+    n_learners=12, n_courses=15, n_teachers=3, n_categories=2, n_concepts=5, n_clusters=2,
+))
+env = PathEnv(kg, init_embeddings(kg, EmbedConfig(d=100, seed=2)), 250, 1)
+params = init_policy(100, AgentConfig(hidden=512, seed=3))
+params["b1"] = np.random.default_rng(4).normal(0.0, 0.5, 512)
+out = [
+    [[[rel, ent.entity_type, ent.index] for rel, ent in path.hops], score]
+    for learner in kg.learners()[:4]
+    for path, score in beam_search(learner, env, params, (25, 10, 10))
+]
+print(json.dumps(out))
+"""
+
+
+def beam_in_subprocess(blas_threads: str) -> list:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads, "OMP_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", BEAM_SCRIPT], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestBeamSearch:
@@ -99,33 +161,58 @@ class TestBeamSearch:
         cap = 1 + max(len(kg.neighbors(ref)) for ref in env.kg._adjacency)
         for widths in ((cap, cap, cap), (4, 3, 2), (1, 1, 1)):
             for learner in kg.learners():
-                assert beam_search(learner, env, params, widths) == reference_beam_search(
-                    learner, env, params, widths
-                ), (widths, learner)
+                assert_matches_oracle(
+                    beam_search(learner, env, params, widths),
+                    reference_beam_search(learner, env, params, widths),
+                )
 
     @pytest.mark.parametrize("history", [0, 1, 2])
     def test_equals_per_prefix_reference_on_five_hops(self, history):
         kg, env, params = synth_setup(history)
         for learner in kg.learners()[:4]:
-            assert beam_search(learner, env, params, FIVE_HOPS) == reference_beam_search(
-                learner, env, params, FIVE_HOPS
-            ), learner
+            assert_matches_oracle(
+                beam_search(learner, env, params, FIVE_HOPS),
+                reference_beam_search(learner, env, params, FIVE_HOPS),
+            )
+
+    @pytest.mark.parametrize("widths", BENCHMARK_WIDTHS)
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_equals_per_prefix_reference_at_benchmark_widths(self, history, widths):
+        kg, env, params = synth_setup(history)
+        for learner in kg.learners()[:3]:
+            assert_matches_oracle(
+                beam_search(learner, env, params, widths),
+                reference_beam_search(learner, env, params, widths),
+            )
+
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_one_batched_forward_per_level(self, monkeypatch, history):
+        kg, env, params = synth_setup(history)
+        calls = []
+
+        def counting_queries(params, features):
+            calls.append(features.shape[0])
+            return action_queries(params, features)
+
+        monkeypatch.setattr(inference, "action_queries", counting_queries)
+        monkeypatch.setattr(inference, "policy_forward", None)  # not used by the beam
+        beam_search(kg.learners()[0], env, params, FIVE_HOPS)
+        assert len(calls) == len(FIVE_HOPS)
 
     @pytest.mark.parametrize("history", [0, 1, 2])
     def test_one_forward_pass_per_distinct_state(self, monkeypatch, history):
         kg, env, params = synth_setup(history)
         learner = kg.learners()[0]
-        calls = []
+        rows = []
 
-        def counting_forward(*args):
-            calls.append(args)
-            return policy_forward(*args)
+        def counting_queries(params, features):
+            rows.append(features.shape[0])
+            return action_queries(params, features)
 
-        monkeypatch.setattr(inference, "policy_forward", counting_forward)
+        monkeypatch.setattr(inference, "action_queries", counting_queries)
         paths = beam_search(learner, env, params, FIVE_HOPS)
         # every prefix keeps at least its self-loop, so the prefixes of level
         # k are exactly the distinct k-hop heads of the returned paths
-        n_prefixes = n_states = 0
         for k in range(len(FIVE_HOPS)):
             heads = {path.hops[:k] for path, _ in paths}
             states = set()
@@ -134,9 +221,18 @@ class TestBeamSearch:
                 for action in hops:
                     state = env.step(state, action)
                 states.add((state.current, state.history))
-            n_prefixes += len(heads)
-            n_states += len(states)
-        assert len(calls) == n_states < n_prefixes
+            assert rows[k] == len(states) <= len(heads), k
+        assert sum(rows) < sum(len({p.hops[:k] for p, _ in paths}) for k in range(len(FIVE_HOPS)))
+
+    def test_same_paths_at_one_and_two_blas_threads(self):
+        # a batched hidden layer is a GEMM, which OpenBLAS may split across
+        # threads; the split must not change a path, and may move a score by
+        # rounding only
+        runs = [beam_in_subprocess(threads) for threads in ("1", "2")]
+        assert [path for path, _ in runs[0]] == [path for path, _ in runs[1]]
+        assert [score for _, score in runs[0]] == pytest.approx(
+            [score for _, score in runs[1]], rel=0, abs=GOLDEN_SCORE_ABS
+        )
 
     def test_width_mismatch_rejected(self):
         _kg, env, params = tiny_setup()
@@ -192,6 +288,21 @@ class TestRankCandidates:
 
 
 class TestRecommendAll:
+    @pytest.mark.parametrize("widths", [(10, 10, 10), *BENCHMARK_WIDTHS])
+    def test_lists_equal_oracle_ranking(self, widths):
+        kg, env, params = synth_setup(history=1)
+        train = {u.index: frozenset({u.index % 15, (3 * u.index) % 15}) for u in kg.learners()}
+        lists, _ = recommend_all(kg.learners(), env, params, train, widths, n=5)
+        for learner in kg.learners():
+            oracle = rank_candidates(
+                reference_beam_search(learner, env, params, widths), learner, train[learner.index], 5
+            )
+            got = lists[learner.index]
+            assert got.courses() == oracle.courses()
+            assert [i.best_path for i in got.items] == [i.best_path for i in oracle.items]
+            for item, want in zip(got.items, oracle.items):
+                assert abs(item.score - want.score) <= BEAM_SCORE_ABS
+
     def test_invalid_fraction_arithmetic(self):
         _kg, env, params = tiny_setup()
         lists, invalid = recommend_all(
@@ -232,3 +343,54 @@ class TestRecommendationIO:
         write_recommendations(lists, kg, str(path))
         with pytest.raises(DataError, match=r"recs\.jsonl: not UTF-8"):
             load_recommendations(put_bad_byte(path, 5), kg, n=5)
+
+
+@pytest.fixture(scope="module")
+def tiny_recs(tmp_path_factory):
+    """The tiny graph and the bytes of its learners' saved recommendations."""
+    kg, env, params = tiny_setup()
+    lists, _ = recommend_all([L(i) for i in range(4)], env, params, TRAIN, (10, 10, 10), n=5)
+    path = tmp_path_factory.mktemp("recs") / "recs.jsonl"
+    write_recommendations(lists, kg, str(path))
+    return kg, path.read_bytes()
+
+
+def edit_first_item(path, **fields):
+    """Rewrite the first line's first item with the given fields replaced."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[0])
+    obj["items"][0].update(fields)
+    lines[0] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestRecommendationLoaderFaults:
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf"), "NaN"])
+    def test_non_finite_score_is_data_error(self, tiny_recs, tmp_path, score):
+        kg, data = tiny_recs
+        path = tmp_path / "recs.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=r"recs\.jsonl:1: .*not finite"):
+            load_recommendations(edit_first_item(path, score=score), kg, n=5)
+
+    def test_path_ending_elsewhere_is_data_error(self, tiny_recs, tmp_path):
+        kg, data = tiny_recs
+        path = tmp_path / "recs.jsonl"
+        path.write_bytes(data)
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])["items"][0]
+        assert first["path"], "the first item needs an explanation path"
+        other = next(c for c in kg.vocab["course"] if c != first["course"])
+        with pytest.raises(DataError, match=r"recs\.jsonl:1: .*not at the item's course"):
+            load_recommendations(edit_first_item(path, course=other), kg, n=5)
+
+    @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))
+    @settings(max_examples=300)
+    def test_bit_flip_raises_only_data_error(self, tiny_recs, fuzz_dir, at, bit):
+        kg, data = tiny_recs
+        path = fuzz_dir / "recs.jsonl"
+        path.write_bytes(data)
+        try:
+            load_recommendations(flip_bit(path, at, bit), kg, n=5)
+        except DataError:
+            pass

@@ -10,6 +10,7 @@ from pathrec.optim import Adam
 from pathrec.policy import (
     GRAD_BLOCK,
     AgentConfig,
+    action_queries,
     batch_gradients,
     compute_advantages,
     feature_size,
@@ -20,6 +21,7 @@ from pathrec.policy import (
     sample_episode,
     save_policy,
     state_features,
+    step_features,
     train_agent,
 )
 from pathrec.schema import SELF_LOOP, EntityRef
@@ -70,6 +72,23 @@ class TestStateFeatures:
         state = env.step(state, (SELF_LOOP, EntityRef("learner", 0)))
         x = state_features(state, env.embeddings, history=1)
         np.testing.assert_array_equal(x[9:], np.zeros(6))
+
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_step_features_equal_features_of_the_stepped_state(self, history):
+        env = tiny_env(d=3, history=history)
+        rng = np.random.default_rng(history)
+        for learner in env.kg.learners():
+            state = env.initial_state(learner, 4)
+            for _ in range(4):
+                aset = env.action_set(state.current)
+                x = state_features(state, env.embeddings, history)
+                for i, action in enumerate(aset.actions):
+                    got = step_features(
+                        x[None, :], aset.matrix[[i]], np.array([i == 0]), history
+                    )
+                    want = state_features(env.step(state, action), env.embeddings, history)
+                    np.testing.assert_array_equal(got[0], want)
+                state = env.step(state, aset.actions[int(rng.integers(len(aset.actions)))])
 
     def test_inverse_relation_feature_negates_forward(self):
         env = tiny_env(d=3)
@@ -123,6 +142,20 @@ class TestPolicyForward:
             probs, _, _, _ = policy_forward(params, x, a)
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) <= 1e-9
+
+    def test_action_queries_give_each_states_logits(self):
+        d, hidden = 5, 16
+        params = init_policy(d, AgentConfig(hidden=hidden, seed=4))
+        params["b1"] = np.random.default_rng(2).normal(size=hidden)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(9, feature_size(d, 1)))
+        a = rng.normal(size=(6, 2 * d))
+        queries = action_queries(params, X)
+        assert queries.shape == (9, 2 * d)
+        for x, q in zip(X, queries):
+            _p, logp, _h, _b = policy_forward(params, x, a)
+            logits = a @ q
+            np.testing.assert_allclose(logits - logits.max(), logp - logp.max(), rtol=0, atol=1e-12)
 
 
 class TestSampleEpisode:
