@@ -10,7 +10,6 @@ the path itself.
 from .embeddings import (
     EmbedConfig,
     EmbeddingTable,
-    grad_check_embeddings,
     init_embeddings,
     load_embeddings,
     save_embeddings,
@@ -59,7 +58,6 @@ from .policy import (
     reinforce_update,
     sample_episode,
     save_policy,
-    state_features,
     train_agent,
 )
 from .schema import SELF_LOOP, EntityRef

@@ -238,10 +238,8 @@ def cmd_explain(cfg: RunConfig, args) -> int:
 
 
 def cmd_run_all(cfg: RunConfig, args) -> int:
-    if not os.path.exists(_graph_path(cfg)):
-        cmd_ingest(cfg, args)
-    if not os.path.exists(_split_path(cfg)):
-        cmd_split(cfg, args)
+    cmd_ingest(cfg, args)
+    cmd_split(cfg, args)
     graph, split = _load_graph_and_split(cfg)
     n_courses = graph.n_entities("course")
     seeds = [cfg.run_base_seed + i for i in range(cfg.run_seeds)]

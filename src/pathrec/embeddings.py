@@ -19,7 +19,7 @@ from .errors import (
     read_declared,
 )
 from .kg import KnowledgeGraph
-from .optim import make_optimizer, softplus, stable_sigmoid
+from .optim import Adam, softplus, stable_sigmoid
 from .schema import (
     ENTITY_TYPES,
     FORWARD_RELATIONS,
@@ -52,7 +52,7 @@ class EmbedConfig:
             raise ConfigError("epochs must be non-negative")
         if self.negatives_per_positive <= 0 or self.batch_size <= 0:
             raise ConfigError("negatives_per_positive and batch_size must be positive")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer != "adam":
             raise ConfigError(f"unknown optimizer: {self.optimizer!r}")
 
 
@@ -67,9 +67,6 @@ class EmbeddingTable:
 
     def vector(self, ref: EntityRef) -> np.ndarray:
         return self.entity[ref.entity_type][ref.index]
-
-    def relation_vector(self, name: str) -> np.ndarray:
-        return self.relation[name]
 
     def feature_relation_vector(self, name: str) -> np.ndarray:
         """Relation vector as used in features: inverse = -forward, self_loop = 0."""
@@ -105,10 +102,10 @@ class EmbeddingTable:
             i = j
         return out
 
-    def check_finite(self) -> None:
+    def check_finite(self, source: str = "embedding table") -> None:
         for arr in (*self.entity.values(), *self.relation.values()):
             if not np.all(np.isfinite(arr)):
-                raise DataError("embedding table contains non-finite values")
+                raise DataError(f"{source} contains non-finite values")
 
     def matches(self, kg: KnowledgeGraph) -> bool:
         return all(
@@ -216,7 +213,7 @@ def train_embeddings(
     if not triples:
         raise DataError("training graph has no triples")
     params = _params(table)
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate)
+    opt = Adam(cfg.learning_rate)
     m = cfg.negatives_per_positive
     tail_sizes = {
         rel: kg_train.n_entities(relation_types(rel)[1]) for rel in FORWARD_RELATIONS
@@ -238,67 +235,6 @@ def train_embeddings(
             params = opt.step(params, grads)
         losses.append(total / len(triples))
     return _table(params, cfg.d), losses
-
-
-def grad_check_embeddings(cfg: EmbedConfig, sample_size: int = 100) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Probes `sample_size` random (triple, parameter, coordinate) combinations
-    on an internally generated miniature graph; step 1e-5, double precision.
-    """
-    cfg.validate()
-    rng = np.random.default_rng([cfg.seed, 4])
-    sizes = {"learner": 6, "course": 5, "teacher": 3, "category": 3, "concept": 4, "school": 2}
-    vocab = {etype: [f"{etype}{i}" for i in range(n)] for etype, n in sizes.items()}
-    edges: dict[str, set[tuple[int, int]]] = {}
-    for rel in FORWARD_RELATIONS:
-        h_type, t_type = relation_types(rel)
-        n_pairs = 6
-        edges[rel] = {
-            (int(rng.integers(sizes[h_type])), int(rng.integers(sizes[t_type])))
-            for _ in range(n_pairs)
-        }
-    kg = KnowledgeGraph(vocab, edges)
-    table = init_embeddings(kg, cfg)
-    # spread the vectors out so probed gradients are not degenerately small
-    for arr in (*table.entity.values(), *table.relation.values()):
-        arr += rng.normal(scale=0.3, size=arr.shape)
-
-    triples = _canonical_triples(kg)
-    m = cfg.negatives_per_positive
-    negatives = draw_negatives(rng, [sizes[relation_types(rel)[1]] for rel, _h, _t in triples], m)
-    _, grads = batch_loss_and_grads(table, triples, negatives)
-
-    def total_loss(tab: EmbeddingTable) -> float:
-        return batch_loss_and_grads(tab, triples, negatives, want_grads=False)[0]
-
-    step = 1e-5
-    worst = 0.0
-    params = _params(table)
-    for _ in range(sample_size):
-        i = int(rng.integers(len(triples)))
-        rel, h, t = triples[i]
-        h_type, t_type = relation_types(rel)
-        key = [
-            ("entity", h_type, h),
-            ("relation", rel, None),
-            ("entity", t_type, t),
-            ("entity", t_type, int(negatives[i, int(rng.integers(m))])),
-        ][int(rng.integers(4))]
-        arr = params[key[:2]]
-        row = arr[key[2]] if key[2] is not None else arr
-        col = int(rng.integers(cfg.d))
-        analytic = (grads[key[:2]][key[2]] if key[2] is not None else grads[key[:2]])[col]
-        orig = row[col]
-        row[col] = orig + step
-        up = total_loss(table)
-        row[col] = orig - step
-        down = total_loss(table)
-        row[col] = orig
-        numeric = (up - down) / (2.0 * step)
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, err)
-    return worst
 
 
 # -- checkpoint I/O ------------------------------------------------------
@@ -356,4 +292,6 @@ def load_embeddings(path: str) -> tuple[EmbeddingTable, EmbedConfig]:
             f"{path}: tensors {sorted(entity)} / {sorted(relation)} do not name this "
             "schema's entity types and relations"
         )
-    return EmbeddingTable(entity, relation, d), cfg
+    table = EmbeddingTable(entity, relation, d)
+    table.check_finite(path)
+    return table, cfg

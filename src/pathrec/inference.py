@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError, atomic_write, open_text
 from .kg import KnowledgeGraph
 # `policy_forward` is not called here, but it stays bound as `inference.policy_forward`:
 # perfbench/tracing.py wraps that attribute by name.
-from .policy import action_queries, policy_forward, state_features, step_features  # noqa: F401
+from .policy import action_queries, policy_forward, start_features, step_features  # noqa: F401
 from .schema import SELF_LOOP, EntityRef, relation_types
 
 DEFAULT_BEAM_WIDTHS = {3: (25, 5, 1), 4: (25, 5, 5, 1), 5: (25, 5, 5, 5, 1)}
@@ -50,7 +50,6 @@ def beam_search(
     env: PathEnv,
     params: dict[str, np.ndarray],
     beam_widths: tuple[int, ...],
-    hop_budget: int | None = None,
 ) -> list[tuple[Path, float]]:
     """All completed budget-length paths surviving per-level truncation.
 
@@ -67,16 +66,12 @@ def beam_search(
     bit, because the matrix product and the segment sums of the softmax add
     in another order than one state's `policy_forward` does.
     """
-    if hop_budget is not None and len(beam_widths) != hop_budget:
-        raise ConfigError(
-            f"need one beam width per hop: got {len(beam_widths)} widths for {hop_budget} hops"
-        )
     if any(w < 1 for w in beam_widths):
         raise ConfigError("beam widths must be >= 1")
-    start = env.initial_state(learner, len(beam_widths))
+    env.initial_state(learner, len(beam_widths))  # rejects a non-learner start and no widths
     n_hist = env.history_len
-    keys: list[tuple[EntityRef, tuple[Action, ...]]] = [(start.current, start.history)]
-    features = state_features(start, env.embeddings, n_hist)[None, :]
+    keys: list[tuple[EntityRef, tuple[Action, ...]]] = [(learner, ())]
+    features = start_features(env.embeddings, learner, n_hist)[None, :]
     state_of = np.zeros(1, dtype=np.intp)  # each prefix's row in keys and features
     acc = np.zeros(1)
     levels = []  # per level: each prefix's parent prefix and kept slot, and the slots' hops

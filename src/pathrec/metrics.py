@@ -132,16 +132,18 @@ def mf_baseline(
     batch_size: int = 1024,
 ) -> dict[int, list[EntityRef]]:
     """Latent-factor rankings trained with a pairwise (positive vs sampled
-    negative) logistic ranking loss; train courses are excluded from output."""
+    negative) logistic ranking loss; train courses are excluded from output,
+    so a list is shorter than k when fewer than k courses are left."""
     if not split.train:
         raise DataError("train split is empty")
     rng = np.random.default_rng([seed, 7])
     learners = sorted(split.train)
-    row_of = {u: i for i, u in enumerate(learners)}
-    train_sets = {u: {c.index for c in split.train[u]} for u in learners}
     pairs = np.array(
-        [(row_of[u], c.index) for u in learners for c in split.train[u]], dtype=np.int64
-    )
+        [(row, c.index) for row, u in enumerate(learners) for c in split.train[u]],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    seen = np.zeros((len(learners), n_courses), dtype=bool)  # learner row x course: in train
+    seen[pairs[:, 0], pairs[:, 1]] = True
     p = rng.normal(0.0, 0.1, size=(len(learners), factors))
     q = rng.normal(0.0, 0.1, size=(n_courses, factors))
     for _epoch in range(epochs):
@@ -151,9 +153,7 @@ def mf_baseline(
             u, i = rows[:, 0], rows[:, 1]
             j = rng.integers(0, n_courses, size=len(rows))
             for _ in range(10):  # resample negatives that hit train courses
-                bad = np.array(
-                    [jj in train_sets[learners[uu]] for uu, jj in zip(u, j)], dtype=bool
-                )
+                bad = seen[u, j]
                 if not bad.any():
                     break
                 j[bad] = rng.integers(0, n_courses, size=int(bad.sum()))
@@ -168,11 +168,9 @@ def mf_baseline(
             np.add.at(q, j, -learning_rate * dqi)
     out = {}
     course_ids = np.arange(n_courses)
-    for u in learners:
-        scores = q @ p[row_of[u]]
-        scores[list(train_sets[u])] = -np.inf
-        order = np.lexsort((course_ids, -scores))[:k]
-        out[u] = [EntityRef("course", int(c)) for c in order]
+    for row, u in enumerate(learners):
+        order = np.lexsort((course_ids, -(q @ p[row])))
+        out[u] = [EntityRef("course", int(c)) for c in order[~seen[row, order]][:k]]
     return out
 
 

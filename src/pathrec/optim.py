@@ -1,10 +1,8 @@
-"""Minimal deterministic optimizers over dicts of numpy arrays."""
+"""Adam over dicts of numpy arrays, and overflow-free logistic helpers."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ConfigError
 
 
 class Adam:
@@ -37,24 +35,6 @@ class Adam:
             v_hat = v / (1.0 - b2**self.t)
             out[key] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return out
-
-
-class SGD:
-    """Plain gradient descent, same interface as Adam."""
-
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: dict, grads: dict) -> dict:
-        return {key: p - self.lr * grads[key] for key, p in params.items()}
-
-
-def make_optimizer(name: str, lr: float):
-    if name == "adam":
-        return Adam(lr)
-    if name == "sgd":
-        return SGD(lr)
-    raise ConfigError(f"unknown optimizer: {name!r}")
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:

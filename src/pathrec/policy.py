@@ -26,8 +26,8 @@ from .errors import (
     read_declared,
 )
 from .kg import KnowledgeGraph
-from .optim import make_optimizer
-from .schema import SELF_LOOP, EntityRef
+from .optim import Adam
+from .schema import EntityRef
 
 POL_MAGIC = "UPGPR-POL v1"
 # steps stacked per matrix product in `batch_gradients`; bounds the stacked
@@ -65,6 +65,8 @@ class AgentConfig:
             raise ConfigError("history and entropy_weight must be non-negative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
+        if self.optimizer != "adam":
+            raise ConfigError(f"unknown optimizer: {self.optimizer!r}")
 
     def hop_budget(self) -> int:
         return self.max_hops_eval + (1 if self.train_extra_hop else 0)
@@ -94,37 +96,28 @@ def init_policy(d: int, cfg: AgentConfig) -> dict[str, np.ndarray]:
     }
 
 
-def state_features(state, table: EmbeddingTable, history: int) -> np.ndarray:
-    """[v_start ; v_current ; v_start - v_current ; last H hops (rel, entity)].
+def start_features(table: EmbeddingTable, learner: EntityRef, history: int) -> np.ndarray:
+    """Features of a walk that has not moved: [v_start ; v_start ; 0 ; 0...].
 
-    Missing history slots and self-loop hops contribute zero vectors.
+    `step_features` grows them one action at a time; the blocks are those of
+    [v_start ; v_current ; v_start - v_current ; last H hops (rel, entity)],
+    where missing history slots and self-loop hops are zero vectors.
     """
-    d = table.d
-    x = np.zeros(feature_size(d, history))
-    v_start = table.vector(state.start)
-    v_current = table.vector(state.current)
-    x[:d] = v_start
-    x[d : 2 * d] = v_current
-    x[2 * d : 3 * d] = v_start - v_current
-    for j in range(min(history, len(state.history))):
-        rel, ent = state.history[j]
-        if rel == SELF_LOOP:
-            continue
-        base = 3 * d + j * 2 * d
-        x[base : base + d] = table.feature_relation_vector(rel)
-        x[base + d : base + 2 * d] = table.vector(ent)
+    x = np.zeros(feature_size(table.d, history))
+    x[: table.d] = x[table.d : 2 * table.d] = table.vector(learner)
     return x
 
 
 def step_features(
     features: np.ndarray, action_rows: np.ndarray, self_loop: np.ndarray, history: int
 ) -> np.ndarray:
-    """`state_features` of the states one action on from the states of `features`.
+    """Features of the states one action on from the states of `features`.
 
     Row i takes the action whose `ActionSet.matrix` row is action_rows[i] from
     the state whose features are features[i]; self_loop[i] marks the self-loop.
-    Every value is copied or subtracted as `state_features` does, so the rows
-    are equal to it bit for bit.
+    Each value is copied, or is v_start minus the new v_current, so a walk's
+    features are the same bit for bit whether it steps alone (`sample_episode`)
+    or batched with other states (`beam_search`).
     """
     d = action_rows.shape[1] // 2
     out = np.empty_like(features)
@@ -191,14 +184,19 @@ def sample_episode(
     hop_budget: int,
     rng: np.random.Generator,
 ) -> Episode:
-    """Roll the full hop budget, sampling each action from the policy."""
-    state = env.initial_state(learner, hop_budget)
+    """Roll the full hop budget, sampling each action from the policy.
+
+    The walk steps as `beam_search` does: it stands on the chosen action's
+    tail, and its features grow by `step_features`.
+    """
+    env.initial_state(learner, hop_budget)  # rejects a non-learner start and an empty budget
+    x = start_features(env.embeddings, learner, env.history_len)
+    current = learner
     steps: list[EpisodeStep] = []
     hops = []
     entropy_sum = 0.0
     for _ in range(hop_budget):
-        aset = env.action_set(state.current)
-        x = state_features(state, env.embeddings, env.history_len)
+        aset = env.action_set(current)
         probs, logp, _h, _b = policy_forward(params, x, aset.matrix)
         k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         k = min(k, len(probs) - 1)
@@ -206,7 +204,9 @@ def sample_episode(
         entropy_sum -= float(np.sum(probs * logp))
         action = aset.actions[k]
         hops.append(action)
-        state = env.step(state, action)
+        current = action[1]  # action 0 is the self-loop, whose tail is `current`
+        if len(steps) < hop_budget:
+            x = step_features(x[None], aset.matrix[k : k + 1], [k == 0], env.history_len)[0]
     path = Path(learner, tuple(hops))
     return Episode(
         learner=learner,
@@ -237,28 +237,6 @@ def compute_advantages(
     return out
 
 
-def batch_surrogate(
-    params: dict[str, np.ndarray],
-    episodes: list[Episode],
-    advantages: list[list[float]],
-    entropy_weight: float,
-    gamma: float,
-) -> float:
-    """Objective ascended by one update, with advantages held constant.
-
-    sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2
-    """
-    total = 0.0
-    for ep, advs in zip(episodes, advantages):
-        returns = step_returns(ep, gamma)
-        for t, step in enumerate(ep.steps):
-            probs, logp, _h, b = policy_forward(params, step.features, step.action_matrix)
-            entropy = -float(np.sum(probs * logp))
-            total += advs[t] * float(logp[step.chosen]) + entropy_weight * entropy
-            total -= 0.5 * (b - returns[t]) ** 2
-    return total
-
-
 def batch_gradients(
     params: dict[str, np.ndarray],
     episodes: list[Episode],
@@ -266,7 +244,10 @@ def batch_gradients(
     entropy_weight: float,
     gamma: float,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradient of `batch_surrogate` w.r.t. every parameter.
+    """Gradient of the objective ascended by one update, w.r.t. every parameter.
+
+    The objective, with advantages held constant, is
+    sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2.
 
     Each step's forward pass and its gradient w.r.t. the logits stay per step,
     because action sets differ in size. What the steps share (inputs, hidden
@@ -357,7 +338,7 @@ def train_agent(
     cfg.validate()
     params = init_policy(embeddings.d, cfg)
     env = PathEnv(kg_train, embeddings, cfg.max_actions, cfg.history)
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate)
+    opt = Adam(cfg.learning_rate)
     budget = cfg.hop_budget()
     log = TrainingLog()
     learners = kg_train.learners()
@@ -426,4 +407,6 @@ def load_policy(path: str) -> tuple[dict[str, np.ndarray], AgentConfig, int]:
             raise CheckpointMismatchError(
                 f"{path}: tensor {name!r} missing or shaped unlike the echoed config"
             )
+    if not all(np.isfinite(arr).all() for arr in params.values()):
+        raise DataError(f"{path} contains non-finite values")
     return params, cfg, d

@@ -1,18 +1,24 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 These deliberately avoid the library's own code paths: metrics are recomputed
-with plain loops, policy gradients with central finite differences and with a
-per-step loop of outer products, and beam results against exhaustive
-action-sequence enumeration and against a beam search that expands every
-prefix on its own.
+with plain loops, state features rebuilt from the state's fields, embedding
+and policy gradients with central finite differences (policy gradients also
+with a per-step loop of outer products), rollouts against a walk through
+`PathEnv.step`, and beam results against exhaustive action-sequence
+enumeration and against a beam search that expands every prefix on its own.
 """
 
 import math
 
 import numpy as np
 
-from pathrec.environment import Path
-from pathrec.policy import batch_surrogate, policy_forward, state_features, step_returns
+from pathrec.embeddings import (
+    _canonical_triples, _params, batch_loss_and_grads, draw_negatives, init_embeddings,
+)
+from pathrec.environment import Path, reward
+from pathrec.kg import KnowledgeGraph
+from pathrec.policy import feature_size, policy_forward, step_returns
+from pathrec.schema import FORWARD_RELATIONS, SELF_LOOP, relation_types
 
 
 def metrics_oracle(ranked, relevant, k):
@@ -34,6 +40,104 @@ def metrics_oracle(ranked, relevant, k):
     hr = 1.0 if hits > 0 else 0.0
     precision = hits / k
     return ndcg, recall, hr, precision
+
+
+def state_features(state, table, history):
+    """[v_start ; v_current ; v_start - v_current ; last H hops (rel, entity)],
+    built from an `EnvState`; missing history slots and self-loop hops are zero.
+    """
+    d = table.d
+    x = np.zeros(feature_size(d, history))
+    v_start = table.vector(state.start)
+    v_current = table.vector(state.current)
+    x[:d] = v_start
+    x[d : 2 * d] = v_current
+    x[2 * d : 3 * d] = v_start - v_current
+    for j in range(min(history, len(state.history))):
+        rel, ent = state.history[j]
+        if rel == SELF_LOOP:
+            continue
+        base = 3 * d + j * 2 * d
+        x[base : base + d] = table.feature_relation_vector(rel)
+        x[base + d : base + 2 * d] = table.vector(ent)
+    return x
+
+
+def grad_check_embeddings(cfg, sample_size=100):
+    """Max relative error of analytic vs central-difference embedding gradients.
+
+    Probes `sample_size` random (triple, parameter, coordinate) combinations
+    on an internally generated miniature graph; step 1e-5, double precision.
+    """
+    cfg.validate()
+    rng = np.random.default_rng([cfg.seed, 4])
+    sizes = {"learner": 6, "course": 5, "teacher": 3, "category": 3, "concept": 4, "school": 2}
+    vocab = {etype: [f"{etype}{i}" for i in range(n)] for etype, n in sizes.items()}
+    edges = {}
+    for rel in FORWARD_RELATIONS:
+        h_type, t_type = relation_types(rel)
+        n_pairs = 6
+        edges[rel] = {
+            (int(rng.integers(sizes[h_type])), int(rng.integers(sizes[t_type])))
+            for _ in range(n_pairs)
+        }
+    kg = KnowledgeGraph(vocab, edges)
+    table = init_embeddings(kg, cfg)
+    # spread the vectors out so probed gradients are not degenerately small
+    for arr in (*table.entity.values(), *table.relation.values()):
+        arr += rng.normal(scale=0.3, size=arr.shape)
+
+    triples = _canonical_triples(kg)
+    m = cfg.negatives_per_positive
+    negatives = draw_negatives(rng, [sizes[relation_types(rel)[1]] for rel, _h, _t in triples], m)
+    _, grads = batch_loss_and_grads(table, triples, negatives)
+
+    def total_loss(tab):
+        return batch_loss_and_grads(tab, triples, negatives, want_grads=False)[0]
+
+    step = 1e-5
+    worst = 0.0
+    params = _params(table)
+    for _ in range(sample_size):
+        i = int(rng.integers(len(triples)))
+        rel, h, t = triples[i]
+        h_type, t_type = relation_types(rel)
+        key = [
+            ("entity", h_type, h),
+            ("relation", rel, None),
+            ("entity", t_type, t),
+            ("entity", t_type, int(negatives[i, int(rng.integers(m))])),
+        ][int(rng.integers(4))]
+        arr = params[key[:2]]
+        row = arr[key[2]] if key[2] is not None else arr
+        col = int(rng.integers(cfg.d))
+        analytic = (grads[key[:2]][key[2]] if key[2] is not None else grads[key[:2]])[col]
+        orig = row[col]
+        row[col] = orig + step
+        up = total_loss(table)
+        row[col] = orig - step
+        down = total_loss(table)
+        row[col] = orig
+        numeric = (up - down) / (2.0 * step)
+        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+        worst = max(worst, err)
+    return worst
+
+
+def batch_surrogate(params, episodes, advantages, entropy_weight, gamma):
+    """Objective ascended by one policy update, with advantages held constant.
+
+    sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2
+    """
+    total = 0.0
+    for ep, advs in zip(episodes, advantages):
+        returns = step_returns(ep, gamma)
+        for t, step in enumerate(ep.steps):
+            probs, logp, _h, b = policy_forward(params, step.features, step.action_matrix)
+            entropy = -float(np.sum(probs * logp))
+            total += advs[t] * float(logp[step.chosen]) + entropy_weight * entropy
+            total -= 0.5 * (b - returns[t]) ** 2
+    return total
 
 
 def fd_policy_gradient_error(
@@ -80,6 +184,24 @@ def reference_batch_gradients(params, episodes, advantages, entropy_weight, gamm
             grads["v_w"] += dbase * h
             grads["v_b"][0] += dbase
     return grads
+
+
+def reference_episode(learner, env, params, spec, hop_budget, rng):
+    """`sample_episode` stepping through `PathEnv.step`, with each state's
+    features rebuilt by `state_features`; returns (path, reward, features)."""
+    state = env.initial_state(learner, hop_budget)
+    hops, features = [], []
+    for _ in range(hop_budget):
+        aset = env.action_set(state.current)
+        x = state_features(state, env.embeddings, env.history_len)
+        probs, _logp, _h, _b = policy_forward(params, x, aset.matrix)
+        k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        action = aset.actions[min(k, len(probs) - 1)]
+        features.append(x)
+        hops.append(action)
+        state = env.step(state, action)
+    path = Path(learner, tuple(hops))
+    return path, reward(path, spec), features
 
 
 def reference_beam_search(learner, env, params, beam_widths):

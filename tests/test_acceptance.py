@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from pathrec.embeddings import EmbedConfig, grad_check_embeddings, train_embeddings
+from pathrec.embeddings import EmbedConfig, train_embeddings
 from pathrec.environment import Path, PathEnv, RewardSpec, reward
 from pathrec.inference import beam_search, recommend_all
 from pathrec.kg import (
@@ -39,6 +39,7 @@ from conftest import DESK_EMBED, make_tiny_kg
 from oracles import (
     enumerate_terminal_courses,
     fd_policy_gradient_error,
+    grad_check_embeddings,
     metrics_oracle,
 )
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,17 @@ def test_corrupt_policy_config_echo_exits_5(pipeline, tmp_path):
     assert main(["recommend", "--config", cfg]) == 5
 
 
+def test_non_finite_policy_exits_5(pipeline, tmp_path, capsys):
+    root, _cfg = pipeline
+    out, cfg = _copy_run(
+        root, tmp_path, ("graph.kg", "split.tsv", "embeddings_s0.emb", "policy_s0.pol")
+    )
+    pol = out / "policy_s0.pol"
+    pol.write_bytes(pol.read_bytes()[:-4] + struct.pack("<f", float("inf")))
+    assert main(["recommend", "--config", cfg]) == 5
+    assert "policy_s0.pol contains non-finite values" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exits_3(pipeline):
     root, cfg = pipeline
     assert main(["recommend", "--config", cfg, "--seed", "9"]) == 3
@@ -215,6 +227,29 @@ def test_run_all_writes_report(workdir):
     assert (root / "out" / "metrics.txt").exists()
     pop = next(row for row in report if row["model"] == "Pop")
     assert pop["std"]["ndcg"] == 0.0
+
+
+def test_run_all_rebuilds_graph_and_split_from_changed_inputs(tmp_path):
+    text = SMALL_CONFIG.format(root=tmp_path).replace("run.seeds = 2", "run.seeds = 1")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    before = (tmp_path / "out" / "graph.kg").read_bytes()
+
+    enrollments = tmp_path / "data" / "enrollments.tsv"
+    lines = enrollments.read_text(encoding="utf-8").splitlines(keepends=True)
+    enrollments.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+    assert main(["run-all", "--config", str(cfg)]) == 0
+
+    fresh = tmp_path / "fresh.ini"
+    fresh.write_text(text.replace(f"data.out = {tmp_path}/out", f"data.out = {tmp_path}/fresh"),
+                     encoding="utf-8")
+    assert main(["ingest", "--config", str(fresh)]) == 0
+    assert main(["split", "--config", str(fresh)]) == 0
+    for name in ("graph.kg", "split.tsv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "out" / "graph.kg").read_bytes() != before
 
 
 def test_init_config_prints_defaults(capsys):

@@ -51,6 +51,13 @@ def test_bad_value_rejected():
         parse_config_text("embed.d = many")
 
 
+@pytest.mark.parametrize("cls", [EmbedConfig, AgentConfig])
+def test_adam_is_the_only_optimizer(cls):
+    cls().validate()
+    with pytest.raises(ConfigError, match="unknown optimizer: 'sgd'"):
+        cls(optimizer="sgd").validate()
+
+
 def test_bad_syntax_rejected():
     with pytest.raises(ConfigError, match="expected"):
         parse_config_text("[embed]")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from pathrec.embeddings import (
     EmbedConfig,
     EmbeddingTable,
     draw_negatives,
-    grad_check_embeddings,
     init_embeddings,
     load_embeddings,
     save_embeddings,
@@ -18,6 +19,7 @@ from pathrec.kg import KnowledgeGraph
 from pathrec.schema import EntityRef
 
 from conftest import DESK_EMBED, flip_bit, make_tiny_kg, put_bad_byte
+from oracles import grad_check_embeddings
 
 
 def manual_table():
@@ -232,6 +234,16 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data.replace(b'"batch_size": 512', b'"batch_size": -12', 1))
         with pytest.raises(DataError, match="corrupt embedding checkpoint"):
+            load_embeddings(str(path))
+
+    def test_non_finite_value_is_data_error(self, tiny_kg, tmp_path):
+        # one flipped exponent bit turns a value in [1, 2) into inf or NaN, and
+        # the file stays well-formed
+        cfg = EmbedConfig(d=4, seed=0)
+        path = tmp_path / "e.emb"
+        save_embeddings(init_embeddings(tiny_kg, cfg), str(path), cfg)
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        with pytest.raises(DataError, match=r"e\.emb contains non-finite values"):
             load_embeddings(str(path))
 
     @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))

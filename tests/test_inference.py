@@ -19,14 +19,12 @@ from pathrec.inference import (
     recommend_all,
     write_recommendations,
 )
-from pathrec.policy import (
-    AgentConfig, action_queries, init_policy, policy_forward, state_features,
-)
+from pathrec.policy import AgentConfig, action_queries, init_policy, policy_forward
 from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
 from conftest import GOLDEN_SCORE_ABS, flip_bit, make_tiny_kg, put_bad_byte
-from oracles import enumerate_terminal_courses, reference_beam_search
+from oracles import enumerate_terminal_courses, reference_beam_search, state_features
 
 L = lambda i: EntityRef("learner", i)
 C = lambda i: EntityRef("course", i)
@@ -236,8 +234,6 @@ class TestBeamSearch:
 
     def test_width_mismatch_rejected(self):
         _kg, env, params = tiny_setup()
-        with pytest.raises(ConfigError):
-            beam_search(L(0), env, params, (5, 5), hop_budget=3)
         with pytest.raises(ConfigError):
             beam_search(L(0), env, params, (5, 0, 5))
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,16 @@ from pathrec.synthetic import SynthConfig, generate
 from pathrec.kg import split_enrollments
 
 from oracles import metrics_oracle
+
+# mf_baseline lists of `golden_mf_split()` at seeds 0-2 (factors 8, 10 epochs,
+# batch 256), written while the train sets were a dict of Python sets
+GOLDEN_MF = Path(__file__).parent / "golden" / "mf_lists.json"
+
+
+def golden_mf_split():
+    kg = generate(SynthConfig(n_learners=60, n_courses=30, n_clusters=2, n_categories=2,
+                              n_concepts=4, seed=2))
+    return split_enrollments(kg, seed=1)
 
 C = lambda i: EntityRef("course", i)
 
@@ -137,6 +150,21 @@ class TestMfBaseline:
         a = mf_baseline(split, 4, factors=3, epochs=2, learning_rate=0.0, seed=3)
         b = mf_baseline(split, 4, factors=3, epochs=2, learning_rate=0.0, seed=3)
         assert a == b
+
+    def test_lists_match_golden(self):
+        split = golden_mf_split()
+        want = json.loads(GOLDEN_MF.read_text(encoding="utf-8"))
+        for seed in (0, 1, 2):
+            lists = mf_baseline(split, 30, factors=8, epochs=10, seed=seed, k=10, batch_size=256)
+            assert {str(u): [c.index for c in ranked] for u, ranked in lists.items()} == want[str(seed)]
+
+    def test_no_train_course_is_returned(self):
+        # k is the whole catalog, so every course a list leaves out is a train course
+        split = golden_mf_split()
+        train = split.train_course_sets()
+        lists = mf_baseline(split, 30, factors=8, epochs=10, seed=0, k=30)
+        for u, ranked in lists.items():
+            assert sorted(c.index for c in ranked) == sorted(set(range(30)) - train[u]), u
 
     def test_beats_pop_on_clustered_synth(self, synth_kg, synth_split):
         n = synth_kg.n_entities("course")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +22,17 @@ from pathrec.policy import (
     reinforce_update,
     sample_episode,
     save_policy,
-    state_features,
+    start_features,
     step_features,
     train_agent,
 )
 from pathrec.schema import SELF_LOOP, EntityRef
+from pathrec.synthetic import SynthConfig, generate
 
 from conftest import flip_bit, make_tiny_kg, put_bad_byte
-from oracles import fd_policy_gradient_error, reference_batch_gradients
+from oracles import (
+    fd_policy_gradient_error, reference_batch_gradients, reference_episode, state_features,
+)
 
 TRAIN = {0: frozenset({0, 1, 2}), 1: frozenset({0, 1}), 2: frozenset({2, 3}), 3: frozenset({4})}
 BINARY = RewardSpec(mode="binary", train_enrollments=TRAIN)
@@ -42,14 +47,15 @@ def tiny_env(d=4, seed=1, history=1):
 class TestStateFeatures:
     def test_initial_state_blocks(self):
         env = tiny_env(d=4)
-        state = env.initial_state(EntityRef("learner", 0), 3)
-        x = state_features(state, env.embeddings, history=1)
+        x = start_features(env.embeddings, EntityRef("learner", 0), history=1)
         d = 4
         v = env.embeddings.vector(EntityRef("learner", 0))
         np.testing.assert_array_equal(x[:d], v)
         np.testing.assert_array_equal(x[d : 2 * d], v)
         np.testing.assert_array_equal(x[2 * d : 3 * d], np.zeros(d))
         np.testing.assert_array_equal(x[3 * d :], np.zeros(2 * d))
+        state = env.initial_state(EntityRef("learner", 0), 3)
+        np.testing.assert_array_equal(x, state_features(state, env.embeddings, history=1))
 
     def test_shape_arithmetic_d2_h1(self):
         env = tiny_env(d=2)
@@ -181,6 +187,30 @@ class TestSampleEpisode:
                 rewarded += 1
                 assert any(rel == SELF_LOOP for rel, _ in ep.path.hops)
         assert rewarded > 0
+
+    @pytest.mark.parametrize("graph", ["tiny", "generated"])
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_walk_equals_a_replay_through_env_step(self, graph, history):
+        if graph == "tiny":
+            kg = make_tiny_kg()
+        else:
+            kg = generate(SynthConfig(n_learners=10, n_courses=16, n_teachers=3, n_categories=2,
+                                      n_concepts=4, n_clusters=2, seed=4))
+        env = PathEnv(kg, init_embeddings(kg, EmbedConfig(d=3, seed=2)), history_len=history)
+        params = init_policy(3, AgentConfig(hidden=8, history=history, seed=1))
+        train: dict[int, set[int]] = {}
+        for u, c in kg.edges["enrolled"]:
+            train.setdefault(u, set()).add(c)
+        spec = RewardSpec("binary", {u: frozenset(cs) for u, cs in train.items()})
+        for learner in kg.learners():
+            for j in range(4):
+                ep = sample_episode(learner, env, params, spec, 4, np.random.default_rng(j))
+                path, reward, features = reference_episode(
+                    learner, env, params, spec, 4, np.random.default_rng(j)
+                )
+                assert ep.path == path and ep.reward == reward
+                for step, want in zip(ep.steps, features, strict=True):
+                    assert step.features.tobytes() == want.tobytes()
 
     def test_zero_budget_misuse(self):
         env = tiny_env()
@@ -387,6 +417,14 @@ class TestCheckpoint:
         assert data.count(old) == 1
         path.write_bytes(data.replace(old, new))
         with pytest.raises(DataError, match="corrupt policy checkpoint"):
+            load_policy(str(path))
+
+    def test_non_finite_value_is_data_error(self, tmp_path):
+        cfg = AgentConfig(hidden=8, seed=0)
+        path = tmp_path / "p.pol"
+        save_policy(init_policy(4, cfg), str(path), cfg, d=4)
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("inf")))
+        with pytest.raises(DataError, match=r"p\.pol contains non-finite values"):
             load_policy(str(path))
 
     @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))
