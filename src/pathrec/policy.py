@@ -114,20 +114,22 @@ def step_features(
     """Features of the states one action on from the states of `features`.
 
     Row i takes the action whose `ActionSet.matrix` row is action_rows[i] from
-    the state whose features are features[i]; self_loop[i] marks the self-loop.
+    the state whose features are features[i]; the bool array self_loop marks
+    the rows that take the self-loop.
     Each value is copied, or is v_start minus the new v_current, so a walk's
     features are the same bit for bit whether it steps alone (`sample_episode`)
     or batched with other states (`beam_search`).
     """
     d = action_rows.shape[1] // 2
-    out = np.empty_like(features)
-    out[:, :d] = features[:, :d]
-    out[:, d : 2 * d] = action_rows[:, d:]
-    out[:, 2 * d : 3 * d] = features[:, :d] - action_rows[:, d:]
+    start, tail = features[:, :d], action_rows[:, d:]
+    # one concatenate instead of a slice assignment per block: a walk makes
+    # this call once per step, where numpy's per-call overhead is the cost
+    blocks = [start, tail, start - tail]
     if history:
-        out[:, 3 * d : 5 * d] = action_rows
+        blocks += [action_rows, features[:, 3 * d : -2 * d]]
+    out = np.concatenate(blocks, axis=1)
+    if history:
         out[self_loop, 4 * d : 5 * d] = 0.0
-        out[:, 5 * d :] = features[:, 3 * d : -2 * d]
     return out
 
 
@@ -146,8 +148,12 @@ def policy_forward(
     z = exp.sum()
     probs = exp / z
     log_probs = shifted - np.log(z)
-    baseline = float(params["v_w"] @ h + params["v_b"][0])
-    return probs, log_probs, h, baseline
+    return probs, log_probs, h, baseline(params, h)
+
+
+def baseline(params: dict[str, np.ndarray], hidden: np.ndarray) -> float:
+    """The baseline head's value b(s) for a state with this hidden layer."""
+    return float(params["v_w"] @ hidden + params["v_b"][0])
 
 
 def action_queries(params: dict[str, np.ndarray], features: np.ndarray) -> np.ndarray:
@@ -162,9 +168,20 @@ def action_queries(params: dict[str, np.ndarray], features: np.ndarray) -> np.nd
 
 @dataclass
 class EpisodeStep:
+    """One sampled step, with the forward pass of the parameters that sampled it.
+
+    `probs`, `log_probs` and `hidden` are what `policy_forward` returned for
+    `features` and `action_matrix`. They hold only for that `w1`, `b1` and
+    `proj`, so a step is used by an update at those parameters; the baseline
+    head is not stored but read from the update's parameters.
+    """
+
     features: np.ndarray
     action_matrix: np.ndarray
     chosen: int
+    probs: np.ndarray
+    log_probs: np.ndarray
+    hidden: np.ndarray
 
 
 @dataclass
@@ -187,7 +204,10 @@ def sample_episode(
     """Roll the full hop budget, sampling each action from the policy.
 
     The walk steps as `beam_search` does: it stands on the chosen action's
-    tail, and its features grow by `step_features`.
+    tail, and its features grow by `step_features`. Each step keeps its
+    forward pass, which `compute_advantages` and `batch_gradients` reuse, so
+    they must be given these same `params` (the parameters are frozen within
+    a batch).
     """
     env.initial_state(learner, hop_budget)  # rejects a non-learner start and an empty budget
     x = start_features(env.embeddings, learner, env.history_len)
@@ -197,16 +217,18 @@ def sample_episode(
     entropy_sum = 0.0
     for _ in range(hop_budget):
         aset = env.action_set(current)
-        probs, logp, _h, _b = policy_forward(params, x, aset.matrix)
+        probs, logp, h, _b = policy_forward(params, x, aset.matrix)
         k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         k = min(k, len(probs) - 1)
-        steps.append(EpisodeStep(x, aset.matrix, k))
+        steps.append(EpisodeStep(x, aset.matrix, k, probs, logp, h))
         entropy_sum -= float(np.sum(probs * logp))
         action = aset.actions[k]
         hops.append(action)
         current = action[1]  # action 0 is the self-loop, whose tail is `current`
         if len(steps) < hop_budget:
-            x = step_features(x[None], aset.matrix[k : k + 1], [k == 0], env.history_len)[0]
+            x = step_features(
+                x[None], aset.matrix[k : k + 1], np.array([k == 0]), env.history_len
+            )[0]
     path = Path(learner, tuple(hops))
     return Episode(
         learner=learner,
@@ -225,16 +247,15 @@ def step_returns(episode: Episode, gamma: float) -> list[float]:
 def compute_advantages(
     params: dict[str, np.ndarray], episodes: list[Episode], gamma: float
 ) -> list[list[float]]:
-    """Return-minus-baseline per step, evaluated at the given parameters."""
-    out = []
-    for ep in episodes:
-        returns = step_returns(ep, gamma)
-        advs = []
-        for t, step in enumerate(ep.steps):
-            _p, _lp, _h, b = policy_forward(params, step.features, step.action_matrix)
-            advs.append(returns[t] - b)
-        out.append(advs)
-    return out
+    """Return minus baseline per step.
+
+    The baseline head is read from `params` and applied to each step's stored
+    hidden layer, which must come from the `w1`/`b1` of these `params`.
+    """
+    return [
+        [ret - baseline(params, s.hidden) for s, ret in zip(ep.steps, step_returns(ep, gamma))]
+        for ep in episodes
+    ]
 
 
 def batch_gradients(
@@ -249,11 +270,13 @@ def batch_gradients(
     The objective, with advantages held constant, is
     sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2.
 
-    Each step's forward pass and its gradient w.r.t. the logits stay per step,
-    because action sets differ in size. What the steps share (inputs, hidden
-    states, dL/d[rel ; tail] and the baseline error) is stacked for up to
-    GRAD_BLOCK steps, and each parameter gradient of a block is one matrix
-    product.
+    Each step's forward pass is the one stored when it was sampled, so the
+    steps must come from `sample_episode` at these `w1`, `b1` and `proj`; the
+    baseline head is read from `params`. The gradient w.r.t. the logits stays
+    per step, because action sets differ in size. What the steps share
+    (inputs, hidden states, dL/d[rel ; tail] and the baseline error) is
+    stacked for up to GRAD_BLOCK steps, and each parameter gradient of a block
+    is one matrix product.
     """
     grads = {key: np.zeros_like(arr) for key, arr in params.items()}
     steps = [
@@ -269,7 +292,7 @@ def batch_gradients(
         ATD = np.empty((n, params["proj"].shape[1]))
         dbase = np.empty(n)
         for i, (step, adv, ret) in enumerate(block):
-            probs, logp, h, b = policy_forward(params, step.features, step.action_matrix)
+            probs, logp, h = step.probs, step.log_probs, step.hidden
             entropy = -float(np.sum(probs * logp))
             dlogits = -adv * probs
             dlogits[step.chosen] += adv
@@ -277,7 +300,7 @@ def batch_gradients(
             X[i] = step.features
             H[i] = h
             ATD[i] = step.action_matrix.T @ dlogits
-            dbase[i] = ret - b
+            dbase[i] = ret - baseline(params, h)
         dh_pre = (ATD @ params["proj"].T + dbase[:, None] * params["v_w"]) * (1.0 - H * H)
         grads["w1"] += dh_pre.T @ X
         grads["b1"] += dh_pre.sum(axis=0)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: metrics are recomputed
 with plain loops, state features rebuilt from the state's fields, embedding
 and policy gradients with central finite differences (policy gradients also
-with a per-step loop of outer products), rollouts against a walk through
+with a per-step loop of outer products, and advantages with a fresh forward
+pass per step), rollouts against a walk through
 `PathEnv.step`, and beam results against exhaustive action-sequence
 enumeration and against a beam search that expands every prefix on its own.
 """
@@ -160,6 +161,19 @@ def fd_policy_gradient_error(
         a = analytic[name].flat[flat_index]
         worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-4))
     return worst
+
+
+def reference_advantages(params, episodes, gamma):
+    """Return minus baseline per step, each baseline from a fresh forward pass."""
+    out = []
+    for ep in episodes:
+        returns = step_returns(ep, gamma)
+        advs = []
+        for t, step in enumerate(ep.steps):
+            _p, _lp, _h, b = policy_forward(params, step.features, step.action_matrix)
+            advs.append(returns[t] - b)
+        out.append(advs)
+    return out
 
 
 def reference_batch_gradients(params, episodes, advantages, entropy_weight, gamma):

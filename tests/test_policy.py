@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathrec.policy as policy_module
 from pathrec.embeddings import EmbedConfig, init_embeddings
 from pathrec.environment import PathEnv, RewardSpec
 from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
@@ -31,7 +32,8 @@ from pathrec.synthetic import SynthConfig, generate
 
 from conftest import flip_bit, make_tiny_kg, put_bad_byte
 from oracles import (
-    fd_policy_gradient_error, reference_batch_gradients, reference_episode, state_features,
+    fd_policy_gradient_error, reference_advantages, reference_batch_gradients,
+    reference_episode, state_features,
 )
 
 TRAIN = {0: frozenset({0, 1, 2}), 1: frozenset({0, 1}), 2: frozenset({2, 3}), 3: frozenset({4})}
@@ -277,6 +279,10 @@ class TestReinforceUpdate:
         for key in params:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
 
+    def test_advantages_equal_fresh_forward_oracle(self):
+        params, episodes, advantages = blocked_batch()
+        assert advantages == reference_advantages(params, episodes, gamma=0.9)
+
     def test_gradient_is_additive_over_episodes(self):
         params, episodes, advantages = blocked_batch()
         whole = batch_gradients(params, episodes, advantages, 0.05, 0.9)
@@ -330,6 +336,14 @@ class TestTrainAgent:
         assert log1.mean_reward == log2.mean_reward
         assert log1.mean_entropy == log2.mean_entropy
 
+    def test_deterministic_params(self):
+        kg, table = self._setup()
+        cfg = AgentConfig(epochs=2, hidden=8, batch_episodes=8, seed=5)
+        p1, _ = train_agent(kg, table, cfg, BINARY)
+        p2, _ = train_agent(kg, table, cfg, BINARY)
+        for key in p1:
+            assert np.array_equal(p1[key], p2[key]), key
+
     def test_two_seeds_differ(self):
         kg, table = self._setup()
         p1, _ = train_agent(kg, table, AgentConfig(epochs=2, hidden=8, seed=0), BINARY)
@@ -351,6 +365,62 @@ class TestTrainAgent:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,mean_reward,mean_entropy"
         assert len(lines) == 3
+
+
+class TestSinglePass:
+    """Training runs the policy forward once per step: the rollout's pass is
+    stored in the step, and the update reads it back."""
+
+    def test_one_forward_pass_per_training_step(self, monkeypatch):
+        kg = make_tiny_kg()
+        table = init_embeddings(kg, EmbedConfig(d=4, seed=1))
+        cfg = AgentConfig(epochs=3, hidden=8, batch_episodes=6, seed=2)
+        calls = []
+        real = policy_module.policy_forward
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(policy_module, "policy_forward", counting)
+        train_agent(kg, table, cfg, BINARY)
+        steps = cfg.epochs * len(kg.learners()) * cfg.episodes_per_learner * cfg.hop_budget()
+        assert len(calls) == steps
+
+    def test_update_makes_no_forward_pass(self, monkeypatch):
+        params, episodes, _ = blocked_batch()
+
+        def forbidden(*args):
+            raise AssertionError("the update ran policy_forward")
+
+        monkeypatch.setattr(policy_module, "policy_forward", forbidden)
+        advantages = compute_advantages(params, episodes, gamma=0.9)
+        batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        reinforce_update(episodes, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
+
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_stored_forward_equals_a_fresh_one_at_every_update(self, monkeypatch, history):
+        kg = make_tiny_kg()
+        table = init_embeddings(kg, EmbedConfig(d=4, seed=1))
+        # 8 episodes an epoch in batches of 6: the second batch of an epoch is
+        # sampled after the first batch's update moved the parameters
+        cfg = AgentConfig(epochs=3, hidden=8, batch_episodes=6, history=history, seed=2)
+        real = policy_module.reinforce_update
+        updates = []
+
+        def checking(episodes, params, opt, cfg):
+            for ep in episodes:
+                for step in ep.steps:
+                    probs, logp, h, _b = policy_forward(params, step.features, step.action_matrix)
+                    assert step.probs.tobytes() == probs.tobytes()
+                    assert step.log_probs.tobytes() == logp.tobytes()
+                    assert step.hidden.tobytes() == h.tobytes()
+            updates.append(len(episodes))
+            return real(episodes, params, opt, cfg)
+
+        monkeypatch.setattr(policy_module, "reinforce_update", checking)
+        train_agent(kg, table, cfg, BINARY)
+        assert updates == [6, 2] * cfg.epochs
 
 
 class TestCheckpoint:
