@@ -330,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_config(args.config)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = cfg.run_base_seed
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError("--seed must be >= 0")
         if not hasattr(args, "recommendations"):
             args.recommendations = None
         return args.fn(cfg, args)

@@ -7,6 +7,7 @@ library configs, whose modules declare their defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, is_dataclass, replace
 from typing import get_type_hints
 
@@ -24,6 +25,13 @@ def _parse_bool(raw: str) -> bool:
     if low in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 @dataclass
@@ -57,8 +65,8 @@ class RunConfig:
 
 
 _PARSERS = {
-    str: str, int: int, float: float, bool: _parse_bool,
-    tuple[float, ...]: lambda raw: tuple(float(part) for part in raw.split(",")),
+    str: str, int: int, float: _parse_float, bool: _parse_bool,
+    tuple[float, ...]: lambda raw: tuple(_parse_float(part) for part in raw.split(",")),
     tuple[int, ...]: lambda raw: tuple(int(part) for part in raw.split(",")) if raw.strip() else (),
 }
 
@@ -113,6 +121,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             setattr(cfg, sub, replace(getattr(cfg, sub), **{name: parsed}))
     if len(cfg.split_ratios) != 3:
         raise ConfigError(f"{source}: split.ratios needs exactly three fractions")
+    if cfg.eval_k <= 0 or cfg.run_seeds <= 0:
+        raise ConfigError(f"{source}: eval.k and run.seeds must be positive")
+    if min(cfg.split_seed, cfg.run_base_seed, cfg.synth.seed) < 0:
+        raise ConfigError(f"{source}: split.seed, run.base_seed and synth.seed must be >= 0")
     return cfg
 
 

@@ -31,6 +31,8 @@ from .schema import (
 )
 
 EMB_MAGIC = "UPGPR-EMB v1"
+# column 0 of a `_canonical_triples` row indexes this tuple
+RELATIONS = tuple(sorted(FORWARD_RELATIONS))
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class EmbedConfig:
     def validate(self) -> None:
         if self.d <= 0:
             raise ConfigError("embedding dimension d must be positive")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # also rejects NaN
             raise ConfigError("learning_rate must be non-negative")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
@@ -123,32 +125,20 @@ def init_embeddings(kg: KnowledgeGraph, cfg: EmbedConfig) -> EmbeddingTable:
         etype: rng.uniform(-bound, bound, size=(kg.n_entities(etype), cfg.d))
         for etype in ENTITY_TYPES
     }
-    relation = {
-        rel: rng.uniform(-bound, bound, size=cfg.d) for rel in sorted(FORWARD_RELATIONS)
-    }
+    relation = {rel: rng.uniform(-bound, bound, size=cfg.d) for rel in RELATIONS}
     return EmbeddingTable(entity, relation, cfg.d)
 
 
-def _canonical_triples(kg: KnowledgeGraph) -> list[tuple[str, int, int]]:
-    out: list[tuple[str, int, int]] = []
-    for rel in sorted(kg.edges):
-        out.extend((rel, h, t) for h, t in sorted(kg.edges[rel]))
-    return out
+def _canonical_triples(kg: KnowledgeGraph) -> np.ndarray:
+    """(n, 3) int array of the graph's forward triples, sorted: each row is
+    (position of its relation in RELATIONS, head index, tail index)."""
+    rows = [(r, h, t) for r, rel in enumerate(RELATIONS) for h, t in sorted(kg.edges[rel])]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
-def _params(table: EmbeddingTable) -> dict:
-    p = {("entity", etype): arr for etype, arr in table.entity.items()}
-    p.update({("relation", rel): vec for rel, vec in table.relation.items()})
-    return p
-
-
-def _table(params: dict, d: int) -> EmbeddingTable:
-    entity = {k[1]: v for k, v in params.items() if k[0] == "entity"}
-    relation = {k[1]: v for k, v in params.items() if k[0] == "relation"}
-    return EmbeddingTable(entity, relation, d)
-
-
-def draw_negatives(rng: np.random.Generator, tail_sizes: list[int], m: int) -> np.ndarray:
+def draw_negatives(
+    rng: np.random.Generator, tail_sizes: np.ndarray | list[int], m: int
+) -> np.ndarray:
     """(len(tail_sizes), m) corrupting tails, row i uniform over range(tail_sizes[i]).
 
     One broadcast draw consumes the generator exactly as one
@@ -158,47 +148,41 @@ def draw_negatives(rng: np.random.Generator, tail_sizes: list[int], m: int) -> n
 
 
 def batch_loss_and_grads(
-    table: EmbeddingTable,
-    batch: list[tuple[str, int, int]],
-    negatives: np.ndarray,
-    want_grads: bool = True,
-) -> tuple[float, dict | None]:
+    params: dict[str, np.ndarray], batch: np.ndarray, negatives: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
     """Negative-sampling logistic loss of one positive batch, and its gradients.
 
-    Row i of the (len(batch), m) array `negatives` holds the corrupting tail
-    indices for batch[i]. Gradients come back as a dict keyed like the
-    parameter pytree, zero elsewhere.
+    `params` maps each entity type and each forward relation to its tensor.
+    Rows of `batch` are `_canonical_triples` rows, and row i of the
+    (len(batch), m) array `negatives` holds the corrupting tail indices for
+    batch[i]. Gradients come back keyed like `params`, zero elsewhere.
     """
     loss = 0.0
-    grads = {key: np.zeros_like(arr) for key, arr in _params(table).items()} if want_grads else None
-    by_rel: dict[str, list[int]] = {}
-    for i, (rel, _h, _t) in enumerate(batch):
-        by_rel.setdefault(rel, []).append(i)
-    for rel in sorted(by_rel):
-        rows = by_rel[rel]
+    grads = {key: np.zeros_like(arr) for key, arr in params.items()}
+    order = np.argsort(batch[:, 0], kind="stable")  # by relation, rows ascending within
+    rel_ids, starts = np.unique(batch[order, 0], return_index=True)
+    for r, rows in zip(rel_ids, np.split(order, starts[1:])):
+        rel = RELATIONS[r]
         h_type, t_type = relation_types(rel)
-        h_idx = np.array([batch[i][1] for i in rows])
-        t_idx = np.array([batch[i][2] for i in rows])
+        h_idx, t_idx = batch[rows, 1], batch[rows, 2]
         neg_idx = negatives[rows]  # (B, m)
-        H = table.entity[h_type][h_idx]
-        T = table.entity[t_type][t_idx]
-        HR = H + table.relation[rel]
+        H = params[h_type][h_idx]
+        T = params[t_type][t_idx]
+        HR = H + params[rel]
         f_pos = np.einsum("bd,bd->b", HR, T)
-        T_neg = table.entity[t_type][neg_idx]  # (B, m, d)
+        T_neg = params[t_type][neg_idx]  # (B, m, d)
         f_neg = np.einsum("bd,bmd->bm", HR, T_neg)
         loss += float(np.sum(softplus(-f_pos)) + np.sum(softplus(f_neg)))
-        if not want_grads:
-            continue
         coef_pos = -stable_sigmoid(-f_pos)  # dL/df_pos
         coef_neg = stable_sigmoid(f_neg)  # dL/df_neg
         dHR = coef_pos[:, None] * T + np.einsum("bm,bmd->bd", coef_neg, T_neg)
-        np.add.at(grads[("entity", h_type)], h_idx, dHR)
-        grads[("relation", rel)] += dHR.sum(axis=0)
-        np.add.at(grads[("entity", t_type)], t_idx, coef_pos[:, None] * HR)
+        np.add.at(grads[h_type], h_idx, dHR)
+        grads[rel] += dHR.sum(axis=0)
+        np.add.at(grads[t_type], t_idx, coef_pos[:, None] * HR)
         np.add.at(
-            grads[("entity", t_type)],
+            grads[t_type],
             neg_idx.ravel(),
-            (coef_neg[:, :, None] * HR[:, None, :]).reshape(-1, table.d),
+            (coef_neg[:, :, None] * HR[:, None, :]).reshape(-1, HR.shape[1]),
         )
     return loss, grads
 
@@ -210,31 +194,30 @@ def train_embeddings(
     cfg.validate()
     table = init_embeddings(kg_train, cfg)
     triples = _canonical_triples(kg_train)
-    if not triples:
+    if not len(triples):
         raise DataError("training graph has no triples")
-    params = _params(table)
+    # entity-type and relation names never collide, so one dict holds both
+    params = {**table.entity, **table.relation}
     opt = Adam(cfg.learning_rate)
     m = cfg.negatives_per_positive
-    tail_sizes = {
-        rel: kg_train.n_entities(relation_types(rel)[1]) for rel in FORWARD_RELATIONS
-    }
+    tail_sizes = np.array([kg_train.n_entities(relation_types(rel)[1]) for rel in RELATIONS])
     losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, 3, epoch])
         order = rng.permutation(len(triples))
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            batch = [triples[i] for i in rows]
-            negatives = draw_negatives(rng, [tail_sizes[rel] for rel, _h, _t in batch], m)
-            table = _table(params, cfg.d)
-            loss, grads = batch_loss_and_grads(table, batch, negatives)
+            batch = triples[order[start : start + cfg.batch_size]]
+            negatives = draw_negatives(rng, tail_sizes[batch[:, 0]], m)
+            loss, grads = batch_loss_and_grads(params, batch, negatives)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             total += loss
             params = opt.step(params, grads)
         losses.append(total / len(triples))
-    return _table(params, cfg.d), losses
+    entity = {etype: params[etype] for etype in table.entity}
+    relation = {rel: params[rel] for rel in table.relation}
+    return EmbeddingTable(entity, relation, cfg.d), losses
 
 
 # -- checkpoint I/O ------------------------------------------------------

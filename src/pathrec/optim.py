@@ -23,13 +23,9 @@ class Adam:
         out = {}
         for key, p in params.items():
             g = grads[key]
-            m = self._m.get(key)
-            if m is None:
-                m = np.zeros_like(p)
-                self._v[key] = np.zeros_like(p)
-            v = self._v[key]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
+            # a moment starts as the scalar 0.0, which broadcasts against g
+            m = b1 * self._m.get(key, 0.0) + (1.0 - b1) * g
+            v = b2 * self._v.get(key, 0.0) + (1.0 - b2) * g * g
             self._m[key], self._v[key] = m, v
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)

@@ -54,14 +54,14 @@ class AgentConfig:
     def validate(self) -> None:
         if self.max_hops_eval not in (3, 4, 5):
             raise ConfigError("max_hops_eval must be 3, 4 or 5")
-        if self.epochs < 0 or self.learning_rate < 0:
+        if self.epochs < 0 or not self.learning_rate >= 0:  # also rejects NaN
             raise ConfigError("epochs and learning_rate must be non-negative")
         positive = (
             self.episodes_per_learner, self.hidden, self.batch_episodes, self.max_actions,
         )
         if any(v <= 0 for v in positive):
             raise ConfigError("episode, width and batch settings must be positive")
-        if self.history < 0 or self.entropy_weight < 0:
+        if self.history < 0 or not self.entropy_weight >= 0:
             raise ConfigError("history and entropy_weight must be non-negative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
@@ -136,10 +136,11 @@ def step_features(
 def policy_forward(
     params: dict[str, np.ndarray], features: np.ndarray, action_matrix: np.ndarray
 ):
-    """Distribution over the candidate actions, plus hidden state and baseline.
+    """Distribution over the candidate actions, plus the hidden state.
 
-    Returns (probs, log_probs, hidden, baseline); probs is a masked softmax
-    over exactly the candidates in `action_matrix` rows.
+    Returns (probs, log_probs, hidden); probs is a masked softmax over exactly
+    the candidates in `action_matrix` rows, and `baseline(params, hidden)`
+    is the state's value.
     """
     h = np.tanh(params["w1"] @ features + params["b1"])
     logits = action_matrix @ (params["proj"].T @ h)
@@ -148,7 +149,7 @@ def policy_forward(
     z = exp.sum()
     probs = exp / z
     log_probs = shifted - np.log(z)
-    return probs, log_probs, h, baseline(params, h)
+    return probs, log_probs, h
 
 
 def baseline(params: dict[str, np.ndarray], hidden: np.ndarray) -> float:
@@ -217,7 +218,7 @@ def sample_episode(
     entropy_sum = 0.0
     for _ in range(hop_budget):
         aset = env.action_set(current)
-        probs, logp, h, _b = policy_forward(params, x, aset.matrix)
+        probs, logp, h = policy_forward(params, x, aset.matrix)
         k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         k = min(k, len(probs) - 1)
         steps.append(EpisodeStep(x, aset.matrix, k, probs, logp, h))
@@ -230,30 +231,21 @@ def sample_episode(
                 x[None], aset.matrix[k : k + 1], np.array([k == 0]), env.history_len
             )[0]
     path = Path(learner, tuple(hops))
-    return Episode(
-        learner=learner,
-        path=path,
-        steps=steps,
-        reward=reward(path, spec),
-        entropy=entropy_sum / hop_budget,
-    )
-
-
-def step_returns(episode: Episode, gamma: float) -> list[float]:
-    t_final = len(episode.steps) - 1
-    return [gamma ** (t_final - t) * episode.reward for t in range(len(episode.steps))]
+    return Episode(learner, path, steps, reward(path, spec), entropy_sum / hop_budget)
 
 
 def compute_advantages(
     params: dict[str, np.ndarray], episodes: list[Episode], gamma: float
 ) -> list[list[float]]:
-    """Return minus baseline per step.
+    """Return G_t = gamma^(T-t) * reward minus baseline b_t, per step.
 
     The baseline head is read from `params` and applied to each step's stored
-    hidden layer, which must come from the `w1`/`b1` of these `params`.
+    hidden layer, which must come from the `w1`/`b1` of these `params`. It is
+    evaluated here only: `batch_gradients` reuses G_t - b_t as its error.
     """
     return [
-        [ret - baseline(params, s.hidden) for s, ret in zip(ep.steps, step_returns(ep, gamma))]
+        [gamma ** (len(ep.steps) - 1 - t) * ep.reward - baseline(params, s.hidden)
+         for t, s in enumerate(ep.steps)]
         for ep in episodes
     ]
 
@@ -263,7 +255,6 @@ def batch_gradients(
     episodes: list[Episode],
     advantages: list[list[float]],
     entropy_weight: float,
-    gamma: float,
 ) -> dict[str, np.ndarray]:
     """Gradient of the objective ascended by one update, w.r.t. every parameter.
 
@@ -271,8 +262,9 @@ def batch_gradients(
     sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2.
 
     Each step's forward pass is the one stored when it was sampled, so the
-    steps must come from `sample_episode` at these `w1`, `b1` and `proj`; the
-    baseline head is read from `params`. The gradient w.r.t. the logits stays
+    steps must come from `sample_episode` at these `w1`, `b1` and `proj`. The
+    advantages must be `compute_advantages` at these `params`: each one,
+    G_t - b_t, is also the baseline's error. The gradient w.r.t. the logits stays
     per step, because action sets differ in size. What the steps share
     (inputs, hidden states, dL/d[rel ; tail] and the baseline error) is
     stacked for up to GRAD_BLOCK steps, and each parameter gradient of a block
@@ -280,27 +272,21 @@ def batch_gradients(
     """
     grads = {key: np.zeros_like(arr) for key, arr in params.items()}
     steps = [
-        (step, adv, ret)
-        for ep, advs in zip(episodes, advantages)
-        for step, adv, ret in zip(ep.steps, advs, step_returns(ep, gamma))
+        (step, adv) for ep, advs in zip(episodes, advantages) for step, adv in zip(ep.steps, advs)
     ]
     for start in range(0, len(steps), GRAD_BLOCK):
         block = steps[start : start + GRAD_BLOCK]
-        n = len(block)
-        X = np.empty((n, params["w1"].shape[1]))
-        H = np.empty((n, params["w1"].shape[0]))
-        ATD = np.empty((n, params["proj"].shape[1]))
-        dbase = np.empty(n)
-        for i, (step, adv, ret) in enumerate(block):
-            probs, logp, h = step.probs, step.log_probs, step.hidden
+        X = np.array([step.features for step, _adv in block])
+        H = np.array([step.hidden for step, _adv in block])
+        dbase = np.array([adv for _step, adv in block])  # G_t - b_t
+        ATD = np.empty((len(block), params["proj"].shape[1]))
+        for i, (step, adv) in enumerate(block):
+            probs, logp = step.probs, step.log_probs
             entropy = -float(np.sum(probs * logp))
             dlogits = -adv * probs
             dlogits[step.chosen] += adv
             dlogits += entropy_weight * (-probs * (logp + entropy))
-            X[i] = step.features
-            H[i] = h
             ATD[i] = step.action_matrix.T @ dlogits
-            dbase[i] = ret - baseline(params, h)
         dh_pre = (ATD @ params["proj"].T + dbase[:, None] * params["v_w"]) * (1.0 - H * H)
         grads["w1"] += dh_pre.T @ X
         grads["b1"] += dh_pre.sum(axis=0)
@@ -320,7 +306,7 @@ def reinforce_update(
     if not episodes:
         raise ValueError("empty episode batch")
     advantages = compute_advantages(params, episodes, cfg.gamma)
-    grads = batch_gradients(params, episodes, advantages, cfg.entropy_weight, cfg.gamma)
+    grads = batch_gradients(params, episodes, advantages, cfg.entropy_weight)
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite policy gradient in {key!r}")

@@ -14,11 +14,11 @@ import math
 import numpy as np
 
 from pathrec.embeddings import (
-    _canonical_triples, _params, batch_loss_and_grads, draw_negatives, init_embeddings,
+    RELATIONS, _canonical_triples, batch_loss_and_grads, draw_negatives, init_embeddings,
 )
 from pathrec.environment import Path, reward
 from pathrec.kg import KnowledgeGraph
-from pathrec.policy import feature_size, policy_forward, step_returns
+from pathrec.policy import baseline, feature_size, policy_forward
 from pathrec.schema import FORWARD_RELATIONS, SELF_LOOP, relation_types
 
 
@@ -90,39 +90,43 @@ def grad_check_embeddings(cfg, sample_size=100):
 
     triples = _canonical_triples(kg)
     m = cfg.negatives_per_positive
-    negatives = draw_negatives(rng, [sizes[relation_types(rel)[1]] for rel, _h, _t in triples], m)
-    _, grads = batch_loss_and_grads(table, triples, negatives)
-
-    def total_loss(tab):
-        return batch_loss_and_grads(tab, triples, negatives, want_grads=False)[0]
+    tail_sizes = [sizes[relation_types(RELATIONS[r])[1]] for r in triples[:, 0]]
+    negatives = draw_negatives(rng, tail_sizes, m)
+    params = {**table.entity, **table.relation}
+    _, grads = batch_loss_and_grads(params, triples, negatives)
 
     step = 1e-5
     worst = 0.0
-    params = _params(table)
     for _ in range(sample_size):
         i = int(rng.integers(len(triples)))
-        rel, h, t = triples[i]
+        r, h, t = (int(v) for v in triples[i])
+        rel = RELATIONS[r]
         h_type, t_type = relation_types(rel)
-        key = [
-            ("entity", h_type, h),
-            ("relation", rel, None),
-            ("entity", t_type, t),
-            ("entity", t_type, int(negatives[i, int(rng.integers(m))])),
+        key, row_index = [
+            (h_type, h),
+            (rel, None),
+            (t_type, t),
+            (t_type, int(negatives[i, int(rng.integers(m))])),
         ][int(rng.integers(4))]
-        arr = params[key[:2]]
-        row = arr[key[2]] if key[2] is not None else arr
+        row = params[key] if row_index is None else params[key][row_index]
         col = int(rng.integers(cfg.d))
-        analytic = (grads[key[:2]][key[2]] if key[2] is not None else grads[key[:2]])[col]
+        analytic = (grads[key] if row_index is None else grads[key][row_index])[col]
         orig = row[col]
         row[col] = orig + step
-        up = total_loss(table)
+        up = batch_loss_and_grads(params, triples, negatives)[0]
         row[col] = orig - step
-        down = total_loss(table)
+        down = batch_loss_and_grads(params, triples, negatives)[0]
         row[col] = orig
         numeric = (up - down) / (2.0 * step)
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
         worst = max(worst, err)
     return worst
+
+
+def step_returns(episode, gamma):
+    """G_t of each step: the terminal reward discounted back from the last step."""
+    t_final = len(episode.steps) - 1
+    return [gamma ** (t_final - t) * episode.reward for t in range(len(episode.steps))]
 
 
 def batch_surrogate(params, episodes, advantages, entropy_weight, gamma):
@@ -134,10 +138,10 @@ def batch_surrogate(params, episodes, advantages, entropy_weight, gamma):
     for ep, advs in zip(episodes, advantages):
         returns = step_returns(ep, gamma)
         for t, step in enumerate(ep.steps):
-            probs, logp, _h, b = policy_forward(params, step.features, step.action_matrix)
+            probs, logp, h = policy_forward(params, step.features, step.action_matrix)
             entropy = -float(np.sum(probs * logp))
             total += advs[t] * float(logp[step.chosen]) + entropy_weight * entropy
-            total -= 0.5 * (b - returns[t]) ** 2
+            total -= 0.5 * (baseline(params, h) - returns[t]) ** 2
     return total
 
 
@@ -170,8 +174,8 @@ def reference_advantages(params, episodes, gamma):
         returns = step_returns(ep, gamma)
         advs = []
         for t, step in enumerate(ep.steps):
-            _p, _lp, _h, b = policy_forward(params, step.features, step.action_matrix)
-            advs.append(returns[t] - b)
+            _p, _lp, h = policy_forward(params, step.features, step.action_matrix)
+            advs.append(returns[t] - baseline(params, h))
         out.append(advs)
     return out
 
@@ -183,12 +187,12 @@ def reference_batch_gradients(params, episodes, advantages, entropy_weight, gamm
         returns = step_returns(ep, gamma)
         for t, step in enumerate(ep.steps):
             x, A, k = step.features, step.action_matrix, step.chosen
-            probs, logp, h, b = policy_forward(params, x, A)
+            probs, logp, h = policy_forward(params, x, A)
             entropy = -float(np.sum(probs * logp))
             dlogits = -advs[t] * probs
             dlogits[k] += advs[t]
             dlogits += entropy_weight * (-probs * (logp + entropy))
-            dbase = -(b - returns[t])
+            dbase = -(baseline(params, h) - returns[t])
             atd = A.T @ dlogits
             dh = params["proj"] @ atd + dbase * params["v_w"]
             dh_pre = dh * (1.0 - h * h)
@@ -208,7 +212,7 @@ def reference_episode(learner, env, params, spec, hop_budget, rng):
     for _ in range(hop_budget):
         aset = env.action_set(state.current)
         x = state_features(state, env.embeddings, env.history_len)
-        probs, _logp, _h, _b = policy_forward(params, x, aset.matrix)
+        probs, _logp, _h = policy_forward(params, x, aset.matrix)
         k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         action = aset.actions[min(k, len(probs) - 1)]
         features.append(x)
@@ -226,7 +230,7 @@ def reference_beam_search(learner, env, params, beam_widths):
         for state, hops, acc in beams:
             aset = env.action_set(state.current)
             x = state_features(state, env.embeddings, env.history_len)
-            _probs, logp, _h, _b = policy_forward(params, x, aset.matrix)
+            _probs, logp, _h = policy_forward(params, x, aset.matrix)
             top = np.argsort(-logp, kind="stable")[:width]
             for idx in top:
                 action = aset.actions[idx]

@@ -149,7 +149,7 @@ def test_criterion_3_gradient_checks():
     episodes[0].reward = 1.0
     cfg = AgentConfig(hidden=6, entropy_weight=0.01, seed=0)
     advantages = compute_advantages(params, episodes, cfg.gamma)
-    analytic = batch_gradients(params, episodes, advantages, cfg.entropy_weight, cfg.gamma)
+    analytic = batch_gradients(params, episodes, advantages, cfg.entropy_weight)
     pol_err = fd_policy_gradient_error(
         params, episodes, advantages, cfg.entropy_weight, cfg.gamma,
         analytic, probes=50, rng=np.random.default_rng(1),

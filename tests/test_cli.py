@@ -33,10 +33,48 @@ synth.n_clusters = 2
 """
 
 
+# The desk benchmark shape (d=24, hidden 64, beams 25,10,10) on the seed-0
+# 64-learner synthetic graph, the graph and seed of the benchmark's first pass.
+DESK_CONFIG = """
+data.dir = {root}/data
+data.out = {root}/out
+embed.d = 24
+embed.epochs = 40
+embed.learning_rate = 0.005
+embed.batch_size = 256
+agent.hidden = 64
+agent.batch_episodes = 128
+agent.epochs = 5
+beam.widths = 25,10,10
+synth.n_learners = 64
+synth.n_courses = 60
+"""
+
+CHAIN = ("synth", "ingest", "split", "train-embed", "train-agent", "recommend")
+
 # recommendations_s0.jsonl of the SMALL_CONFIG chain below (synth through
 # recommend at seed 0), written before beam search shared its expansions
 GOLDEN_RECS = Path(__file__).parent / "golden" / "recommendations_s0.jsonl"
-# Learners, courses and paths must match exactly; scores within GOLDEN_SCORE_ABS.
+# the same for DESK_CONFIG, written before the embedding trainer grouped
+# batches by argsort and before the update stopped re-evaluating the baseline
+GOLDEN_DESK_RECS = Path(__file__).parent / "golden" / "desk_recommendations_s0.jsonl"
+
+
+def assert_matches_golden(got_path, want_path):
+    """Learners, courses and paths must match exactly; scores within GOLDEN_SCORE_ABS."""
+
+    def read(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    got, want = read(got_path), read(want_path)
+    assert [rec["learner"] for rec in got] == [rec["learner"] for rec in want]
+    for g, w in zip(got, want):
+        assert [(it["course"], it["path"]) for it in g["items"]] == [
+            (it["course"], it["path"]) for it in w["items"]
+        ], g["learner"]
+        assert [it["score"] for it in g["items"]] == pytest.approx(
+            [it["score"] for it in w["items"]], rel=0, abs=GOLDEN_SCORE_ABS
+        ), g["learner"]
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +89,7 @@ def workdir(tmp_path_factory):
 def pipeline(workdir):
     """Run the full chain once; later tests inspect the artifacts."""
     root, cfg = workdir
-    for command in ("synth", "ingest", "split", "train-embed", "train-agent", "recommend"):
+    for command in CHAIN:
         assert main([command, "--config", cfg]) == 0, command
     return root, cfg
 
@@ -66,19 +104,15 @@ def test_pipeline_artifacts_exist(pipeline):
 
 def test_recommendations_match_golden(pipeline):
     root, _cfg = pipeline
+    assert_matches_golden(root / "out" / "recommendations_s0.jsonl", GOLDEN_RECS)
 
-    def read(path):
-        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
-    got, want = read(root / "out" / "recommendations_s0.jsonl"), read(GOLDEN_RECS)
-    assert [rec["learner"] for rec in got] == [rec["learner"] for rec in want]
-    for g, w in zip(got, want):
-        assert [(it["course"], it["path"]) for it in g["items"]] == [
-            (it["course"], it["path"]) for it in w["items"]
-        ], g["learner"]
-        assert [it["score"] for it in g["items"]] == pytest.approx(
-            [it["score"] for it in w["items"]], rel=0, abs=GOLDEN_SCORE_ABS
-        ), g["learner"]
+def test_desk_recommendations_match_golden(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(DESK_CONFIG.format(root=tmp_path), encoding="utf-8")
+    for command in CHAIN:
+        assert main([command, "--config", str(cfg)]) == 0, command
+    assert_matches_golden(tmp_path / "out" / "recommendations_s0.jsonl", GOLDEN_DESK_RECS)
 
 
 def test_evaluate_and_patterns_round_trip(pipeline):
@@ -133,6 +167,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("no.such.key = 1\n", encoding="utf-8")
     assert main(["synth", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("line, args", [
+    ("agent.learning_rate = nan", ()),
+    ("embed.learning_rate = inf", ()),
+    ("agent.entropy_weight = -inf", ()),
+    ("split.ratios = nan,0.1,0.1", ()),
+    ("eval.k = 0", ()),
+    ("eval.k = -3", ()),
+    ("run.seeds = 0", ()),
+    ("split.seed = -1", ()),
+    ("run.base_seed = -1", ()),
+    ("synth.seed = -2", ()),
+    ("", ("--seed", "-1")),
+])
+def test_out_of_range_setting_exits_2(tmp_path, capsys, line, args):
+    # without the range checks these end in a NaN policy, a traceback or a
+    # missing-file error (exit 3), depending on the setting
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"data.dir = {tmp_path}/data\ndata.out = {tmp_path}/out\n{line}\n",
+                   encoding="utf-8")
+    assert main(["train-agent", "--config", str(cfg), *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[config]: "), err
 
 
 def test_checkpoint_mismatch_exits_4(pipeline, tmp_path):

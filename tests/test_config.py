@@ -58,6 +58,12 @@ def test_adam_is_the_only_optimizer(cls):
         cls(optimizer="sgd").validate()
 
 
+@pytest.mark.parametrize("cls", [EmbedConfig, AgentConfig])
+def test_nan_learning_rate_rejected(cls):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        cls(learning_rate=float("nan")).validate()
+
+
 def test_bad_syntax_rejected():
     with pytest.raises(ConfigError, match="expected"):
         parse_config_text("[embed]")

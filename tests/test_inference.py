@@ -120,7 +120,7 @@ class TestBeamSearch:
         for _ in range(3):
             aset = env.action_set(state.current)
             x = state_features(state, env.embeddings, env.history_len)
-            _probs, lp, _h, _b = policy_forward(params, x, aset.matrix)
+            _probs, lp, _h = policy_forward(params, x, aset.matrix)
             best = int(np.argmax(lp))
             expected_hops.append(aset.actions[best])
             expected_lp += float(lp[best])

@@ -14,6 +14,7 @@ from pathrec.policy import (
     GRAD_BLOCK,
     AgentConfig,
     action_queries,
+    baseline,
     batch_gradients,
     compute_advantages,
     feature_size,
@@ -113,7 +114,7 @@ class TestPolicyForward:
         params = init_policy(4, AgentConfig(hidden=8, seed=0))
         x = np.zeros(feature_size(4, 1))
         a = np.ones((1, 8))
-        probs, logp, _h, _b = policy_forward(params, x, a)
+        probs, logp, _h = policy_forward(params, x, a)
         assert probs.shape == (1,)
         assert probs[0] == pytest.approx(1.0)
         assert logp[0] == pytest.approx(0.0)
@@ -122,9 +123,9 @@ class TestPolicyForward:
         params = {k: np.zeros_like(v) for k, v in init_policy(4, AgentConfig(hidden=8)).items()}
         x = np.arange(feature_size(4, 1), dtype=float)
         a = np.random.default_rng(0).normal(size=(7, 8))
-        probs, _lp, _h, baseline = policy_forward(params, x, a)
+        probs, _lp, h = policy_forward(params, x, a)
         np.testing.assert_allclose(probs, np.full(7, 1 / 7))
-        assert baseline == 0.0
+        assert baseline(params, h) == 0.0
 
     def test_constant_logit_shift_invariance(self):
         d = 4
@@ -132,11 +133,11 @@ class TestPolicyForward:
         rng = np.random.default_rng(1)
         x = rng.normal(size=feature_size(d, 1))
         a = rng.normal(size=(5, 2 * d))
-        probs, _, h, _ = policy_forward(params, x, a)
+        probs, _, _ = policy_forward(params, x, a)
         # shifting every action embedding by the same vector adds a constant
         # to every logit, so the distribution must not move
         shift = rng.normal(size=2 * d)
-        probs2, _, _, _ = policy_forward(params, x, a + shift)
+        probs2, _, _ = policy_forward(params, x, a + shift)
         np.testing.assert_allclose(probs, probs2, atol=1e-12)
 
     def test_probability_simplex(self):
@@ -147,7 +148,7 @@ class TestPolicyForward:
             params = init_policy(d, cfg)
             x = rng.normal(size=feature_size(d, 1)) * 3
             a = rng.normal(size=(int(rng.integers(1, 9)), 2 * d)) * 3
-            probs, _, _, _ = policy_forward(params, x, a)
+            probs, _, _ = policy_forward(params, x, a)
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -161,7 +162,7 @@ class TestPolicyForward:
         queries = action_queries(params, X)
         assert queries.shape == (9, 2 * d)
         for x, q in zip(X, queries):
-            _p, logp, _h, _b = policy_forward(params, x, a)
+            _p, logp, _h = policy_forward(params, x, a)
             logits = a @ q
             np.testing.assert_allclose(logits - logits.max(), logp - logp.max(), rtol=0, atol=1e-12)
 
@@ -254,10 +255,10 @@ class TestReinforceUpdate:
         params["v_b"][0] = 0.5
         advantages = compute_advantages(params, episodes, gamma=1.0)
         assert all(abs(a) < 1e-12 for advs in advantages for a in advs)
-        grads = batch_gradients(params, episodes, advantages, entropy_weight=0.0, gamma=1.0)
+        grads = batch_gradients(params, episodes, advantages, entropy_weight=0.0)
         for arr in grads.values():
             np.testing.assert_allclose(arr, 0.0, atol=1e-12)
-        with_entropy = batch_gradients(params, episodes, advantages, 0.01, 1.0)
+        with_entropy = batch_gradients(params, episodes, advantages, 0.01)
         assert any(np.abs(arr).max() > 0 for arr in with_entropy.values())
 
     def test_gradient_matches_finite_differences(self):
@@ -265,7 +266,7 @@ class TestReinforceUpdate:
         episodes[0].reward = 1.0  # make advantages non-trivial
         cfg = AgentConfig(hidden=6, entropy_weight=0.01, seed=0)
         advantages = compute_advantages(params, episodes, cfg.gamma)
-        analytic = batch_gradients(params, episodes, advantages, cfg.entropy_weight, cfg.gamma)
+        analytic = batch_gradients(params, episodes, advantages, cfg.entropy_weight)
         err = fd_policy_gradient_error(
             params, episodes, advantages, cfg.entropy_weight, cfg.gamma,
             analytic, probes=60, rng=np.random.default_rng(0),
@@ -274,7 +275,7 @@ class TestReinforceUpdate:
 
     def test_gradient_matches_per_step_oracle(self):
         params, episodes, advantages = blocked_batch()
-        got = batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        got = batch_gradients(params, episodes, advantages, 0.05)
         want = reference_batch_gradients(params, episodes, advantages, 0.05, 0.9)
         for key in params:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
@@ -285,10 +286,10 @@ class TestReinforceUpdate:
 
     def test_gradient_is_additive_over_episodes(self):
         params, episodes, advantages = blocked_batch()
-        whole = batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        whole = batch_gradients(params, episodes, advantages, 0.05)
         half = len(episodes) // 2 + 1  # so the halves' block boundaries differ from the whole's
-        first = batch_gradients(params, episodes[:half], advantages[:half], 0.05, 0.9)
-        second = batch_gradients(params, episodes[half:], advantages[half:], 0.05, 0.9)
+        first = batch_gradients(params, episodes[:half], advantages[:half], 0.05)
+        second = batch_gradients(params, episodes[half:], advantages[half:], 0.05)
         for key in params:
             np.testing.assert_allclose(whole[key], first[key] + second[key], rtol=1e-12,
                                        atol=0, err_msg=key)
@@ -368,8 +369,8 @@ class TestTrainAgent:
 
 
 class TestSinglePass:
-    """Training runs the policy forward once per step: the rollout's pass is
-    stored in the step, and the update reads it back."""
+    """Training runs the policy forward and the baseline head once per step:
+    the rollout's pass is stored in the step, and the update reads it back."""
 
     def test_one_forward_pass_per_training_step(self, monkeypatch):
         kg = make_tiny_kg()
@@ -387,6 +388,22 @@ class TestSinglePass:
         steps = cfg.epochs * len(kg.learners()) * cfg.episodes_per_learner * cfg.hop_budget()
         assert len(calls) == steps
 
+    def test_one_baseline_evaluation_per_training_step(self, monkeypatch):
+        kg = make_tiny_kg()
+        table = init_embeddings(kg, EmbedConfig(d=4, seed=1))
+        cfg = AgentConfig(epochs=3, hidden=8, batch_episodes=6, seed=2)
+        calls = []
+        real = policy_module.baseline
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(policy_module, "baseline", counting)
+        train_agent(kg, table, cfg, BINARY)
+        steps = cfg.epochs * len(kg.learners()) * cfg.episodes_per_learner * cfg.hop_budget()
+        assert len(calls) == steps
+
     def test_update_makes_no_forward_pass(self, monkeypatch):
         params, episodes, _ = blocked_batch()
 
@@ -395,7 +412,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(policy_module, "policy_forward", forbidden)
         advantages = compute_advantages(params, episodes, gamma=0.9)
-        batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        batch_gradients(params, episodes, advantages, 0.05)
         reinforce_update(episodes, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
 
     @pytest.mark.parametrize("history", [0, 1, 2])
@@ -411,7 +428,7 @@ class TestSinglePass:
         def checking(episodes, params, opt, cfg):
             for ep in episodes:
                 for step in ep.steps:
-                    probs, logp, h, _b = policy_forward(params, step.features, step.action_matrix)
+                    probs, logp, h = policy_forward(params, step.features, step.action_matrix)
                     assert step.probs.tobytes() == probs.tobytes()
                     assert step.log_probs.tobytes() == logp.tobytes()
                     assert step.hidden.tobytes() == h.tobytes()
