@@ -16,9 +16,13 @@ from pathrec.synthetic import SynthConfig, write_tsvs
 
 
 def main():
+    with tempfile.TemporaryDirectory(prefix="pathrec-demo-") as tmp:
+        build_and_inspect(Path(tmp))
+
+
+def build_and_inspect(workdir: Path):
     cfg = SynthConfig(n_learners=50, n_courses=30, n_teachers=6, n_categories=3,
                       n_concepts=9, n_clusters=3, seed=7)
-    workdir = Path(tempfile.mkdtemp(prefix="pathrec-demo-"))
 
     print("== writing relation TSVs ==")
     files = write_tsvs(cfg, str(workdir / "data"))

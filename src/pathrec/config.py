@@ -121,10 +121,14 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             setattr(cfg, sub, replace(getattr(cfg, sub), **{name: parsed}))
     if len(cfg.split_ratios) != 3:
         raise ConfigError(f"{source}: split.ratios needs exactly three fractions")
-    if cfg.eval_k <= 0 or cfg.run_seeds <= 0:
-        raise ConfigError(f"{source}: eval.k and run.seeds must be positive")
+    if cfg.eval_k <= 0 or cfg.run_seeds <= 0 or cfg.mf_factors <= 0:
+        raise ConfigError(f"{source}: eval.k, run.seeds and mf.factors must be positive")
     if min(cfg.split_seed, cfg.run_base_seed, cfg.synth.seed) < 0:
         raise ConfigError(f"{source}: split.seed, run.base_seed and synth.seed must be >= 0")
+    if cfg.min_enrollments < 0 or cfg.mf_epochs < 0:
+        raise ConfigError(f"{source}: filter.min_enrollments and mf.epochs must be >= 0")
+    if not cfg.mf_learning_rate >= 0:  # also rejects NaN
+        raise ConfigError(f"{source}: mf.learning_rate must be non-negative")
     return cfg
 
 

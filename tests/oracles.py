@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own code paths: metrics are recomputed
 with plain loops, state features rebuilt from the state's fields, embedding
-and policy gradients with central finite differences (policy gradients also
-with a per-step loop of outer products, and advantages with a fresh forward
-pass per step), rollouts against a walk through
-`PathEnv.step`, and beam results against exhaustive action-sequence
-enumeration and against a beam search that expands every prefix on its own.
+and policy gradients with central finite differences (embedding gradients
+also on one tensor per entity type and relation, with `np.add.at` scatters
+and per-tensor Adam; policy gradients also with a per-step loop of outer
+products, and advantages with a fresh forward pass per step), rollouts
+against a walk through `PathEnv.step`, and beam results against exhaustive
+action-sequence enumeration and against a beam search that expands every
+prefix on its own.
 """
 
 import math
@@ -17,9 +19,11 @@ from pathrec.embeddings import (
     RELATIONS, _canonical_triples, batch_loss_and_grads, draw_negatives, init_embeddings,
 )
 from pathrec.environment import Path, reward
+from pathrec.errors import DivergenceError
 from pathrec.kg import KnowledgeGraph
+from pathrec.optim import Adam, softplus, stable_sigmoid
 from pathrec.policy import baseline, feature_size, policy_forward
-from pathrec.schema import FORWARD_RELATIONS, SELF_LOOP, relation_types
+from pathrec.schema import ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, relation_types
 
 
 def metrics_oracle(ranked, relevant, k):
@@ -64,6 +68,94 @@ def state_features(state, table, history):
     return x
 
 
+def reference_batch_loss_and_grads(params, batch, negatives):
+    """Embedding loss and gradients on one tensor per entity type and relation.
+
+    `params` maps each entity type and each forward relation to its tensor;
+    `batch` rows are `_canonical_triples` rows (relation position, head
+    index, tail index) and `negatives[i]` the corrupting tail indices of
+    batch[i]. Gradients are keyed like `params`, scattered with `np.add.at`.
+    """
+    loss = 0.0
+    grads = {key: np.zeros_like(arr) for key, arr in params.items()}
+    order = np.argsort(batch[:, 0], kind="stable")
+    rel_ids, starts = np.unique(batch[order, 0], return_index=True)
+    for r, rows in zip(rel_ids, np.split(order, starts[1:])):
+        rel = RELATIONS[r]
+        h_type, t_type = relation_types(rel)
+        h_idx, t_idx = batch[rows, 1], batch[rows, 2]
+        neg_idx = negatives[rows]  # (B, m)
+        H = params[h_type][h_idx]
+        T = params[t_type][t_idx]
+        HR = H + params[rel]
+        f_pos = np.einsum("bd,bd->b", HR, T)
+        T_neg = params[t_type][neg_idx]  # (B, m, d)
+        f_neg = np.einsum("bd,bmd->bm", HR, T_neg)
+        loss += float(np.sum(softplus(-f_pos)) + np.sum(softplus(f_neg)))
+        coef_pos = -stable_sigmoid(-f_pos)
+        coef_neg = stable_sigmoid(f_neg)
+        dHR = coef_pos[:, None] * T + np.einsum("bm,bmd->bd", coef_neg, T_neg)
+        np.add.at(grads[h_type], h_idx, dHR)
+        grads[rel] += dHR.sum(axis=0)
+        np.add.at(grads[t_type], t_idx, coef_pos[:, None] * HR)
+        np.add.at(
+            grads[t_type],
+            neg_idx.ravel(),
+            (coef_neg[:, :, None] * HR[:, None, :]).reshape(-1, HR.shape[1]),
+        )
+    return loss, grads
+
+
+def reference_train_embeddings(kg, cfg):
+    """The embedding trainer on one tensor per entity type and relation, with
+    per-tensor Adam and `reference_batch_loss_and_grads`; returns (params,
+    per-epoch mean loss) and draws the same random stream as the library."""
+    table = init_embeddings(kg, cfg)
+    params = {**table.entity, **table.relation}
+    triples = _canonical_triples(kg)
+    opt = Adam(cfg.learning_rate)
+    m = cfg.negatives_per_positive
+    tail_sizes = np.array([kg.n_entities(relation_types(rel)[1]) for rel in RELATIONS])
+    losses = []
+    for epoch in range(1, cfg.epochs + 1):
+        rng = np.random.default_rng([cfg.seed, 3, epoch])
+        order = rng.permutation(len(triples))
+        total = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = triples[order[start : start + cfg.batch_size]]
+            negatives = draw_negatives(rng, tail_sizes[batch[:, 0]], m)
+            loss, grads = reference_batch_loss_and_grads(params, batch, negatives)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            total += loss
+            params = opt.step(params, grads)
+        losses.append(total / len(triples))
+    return params, losses
+
+
+def to_rows(params, batch, negatives):
+    """A dict-form problem in the trainer's layout: the stacked matrix W
+    (entity types in ENTITY_TYPES order, then one row per relation in
+    RELATIONS order), and the batch and negatives as rows of W."""
+    W = np.concatenate([*(params[e] for e in ENTITY_TYPES), [params[r] for r in RELATIONS]])
+    first = dict(zip(ENTITY_TYPES, np.cumsum([0] + [len(params[e]) for e in ENTITY_TYPES])))
+    shift = np.array([[first[e] for e in relation_types(rel)] for rel in RELATIONS])
+    rows = batch.copy()
+    rows[:, 1:] += shift[batch[:, 0]]
+    return W, rows, negatives + shift[batch[:, 0], 1:]
+
+
+def from_rows(W, entity):
+    """Views into W keyed by entity type and relation, the inverse of
+    `to_rows`; `entity[etype]` has as many rows as that type's block."""
+    out, row = {}, 0
+    for etype in ENTITY_TYPES:
+        out[etype] = W[row : row + len(entity[etype])]
+        row += len(entity[etype])
+    out.update(zip(RELATIONS, W[row:]))
+    return out
+
+
 def grad_check_embeddings(cfg, sample_size=100):
     """Max relative error of analytic vs central-difference embedding gradients.
 
@@ -92,8 +184,10 @@ def grad_check_embeddings(cfg, sample_size=100):
     m = cfg.negatives_per_positive
     tail_sizes = [sizes[relation_types(RELATIONS[r])[1]] for r in triples[:, 0]]
     negatives = draw_negatives(rng, tail_sizes, m)
-    params = {**table.entity, **table.relation}
-    _, grads = batch_loss_and_grads(params, triples, negatives)
+    # probe the library's function; params are views of its stacked matrix
+    W, rows, neg_rows = to_rows({**table.entity, **table.relation}, triples, negatives)
+    params = from_rows(W, table.entity)
+    grads = from_rows(batch_loss_and_grads(W, rows, neg_rows)[1], params)
 
     step = 1e-5
     worst = 0.0
@@ -113,9 +207,9 @@ def grad_check_embeddings(cfg, sample_size=100):
         analytic = (grads[key] if row_index is None else grads[key][row_index])[col]
         orig = row[col]
         row[col] = orig + step
-        up = batch_loss_and_grads(params, triples, negatives)[0]
+        up = batch_loss_and_grads(W, rows, neg_rows)[0]
         row[col] = orig - step
-        down = batch_loss_and_grads(params, triples, negatives)[0]
+        down = batch_loss_and_grads(W, rows, neg_rows)[0]
         row[col] = orig
         numeric = (up - down) / (2.0 * step)
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)

@@ -181,6 +181,12 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("run.base_seed = -1", ()),
     ("synth.seed = -2", ()),
     ("", ("--seed", "-1")),
+    ("mf.factors = 0", ()),
+    ("mf.factors = -1", ()),
+    ("mf.epochs = -1", ()),
+    ("mf.learning_rate = -0.05", ()),
+    ("mf.learning_rate = nan", ()),
+    ("filter.min_enrollments = -1", ()),
 ])
 def test_out_of_range_setting_exits_2(tmp_path, capsys, line, args):
     # without the range checks these end in a NaN policy, a traceback or a

@@ -6,20 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathrec.embeddings import (
+    RELATIONS,
     EmbedConfig,
     EmbeddingTable,
+    _canonical_triples,
+    batch_loss_and_grads,
     draw_negatives,
     init_embeddings,
     load_embeddings,
     save_embeddings,
     train_embeddings,
 )
-from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
+from pathrec.errors import CheckpointMismatchError, ConfigError, DataError, DivergenceError
 from pathrec.kg import KnowledgeGraph
-from pathrec.schema import EntityRef
+from pathrec.schema import EntityRef, relation_types
+from pathrec.synthetic import SynthConfig, generate
 
 from conftest import DESK_EMBED, flip_bit, make_tiny_kg, put_bad_byte
-from oracles import grad_check_embeddings
+from oracles import (
+    from_rows, grad_check_embeddings, reference_batch_loss_and_grads, reference_train_embeddings,
+    to_rows,
+)
 
 
 def manual_table():
@@ -185,6 +192,119 @@ class TestGradCheck:
     def test_other_seed_and_dimension(self):
         err = grad_check_embeddings(EmbedConfig(d=3, seed=8), sample_size=60)
         assert err <= 1e-4
+
+
+def spread_params(kg, d, seed):
+    """Initial tensors with added noise, so that gradients are not all tiny."""
+    table = init_embeddings(kg, EmbedConfig(d=d, seed=seed))
+    params = {**table.entity, **table.relation}
+    rng = np.random.default_rng([seed, 9])
+    return {key: arr + rng.normal(scale=0.3, size=arr.shape) for key, arr in params.items()}
+
+
+def assert_matches_reference(kg, batch, negatives, d):
+    params = spread_params(kg, d, seed=d)
+    ref_loss, ref_grads = reference_batch_loss_and_grads(params, batch, negatives)
+    W, rows, neg_rows = to_rows(params, batch, negatives)
+    loss, grad = batch_loss_and_grads(W, rows, neg_rows)
+    assert loss == ref_loss
+    assert grad.shape == W.shape
+    got = from_rows(grad, params)
+    assert got.keys() == ref_grads.keys()
+    for key, want in ref_grads.items():
+        np.testing.assert_array_equal(got[key], want, err_msg=key)
+
+
+@pytest.mark.parametrize("d", [3, 24, 100])
+class TestFlatMatrixGradient:
+    """One gather and one bincount over the stacked matrix W add every
+    gradient bin's terms in the order of the per-tensor `np.add.at`
+    reference, so loss and gradients are bit-equal to it."""
+
+    kg = make_tiny_kg(with_school=True)
+    triples = _canonical_triples(kg)
+
+    def negatives_for(self, batch, m=5, seed=0):
+        sizes = [self.kg.n_entities(relation_types(RELATIONS[r])[1]) for r in batch[:, 0]]
+        return draw_negatives(np.random.default_rng(seed), sizes, m)
+
+    def test_one_relation_only(self, d):
+        batch = self.triples[self.triples[:, 0] == RELATIONS.index("enrolled")]
+        assert_matches_reference(self.kg, batch, self.negatives_for(batch), d)
+
+    def test_all_relations_shuffled(self, d):
+        batch = self.triples[np.random.default_rng(1).permutation(len(self.triples))]
+        assert set(batch[:, 0]) == set(range(len(RELATIONS)))
+        assert_matches_reference(self.kg, batch, self.negatives_for(batch), d)
+
+    def test_one_course_as_head_tail_and_negative(self, d):
+        course = 2
+        r_of = RELATIONS.index
+        picks = [
+            (r_of("teaches"), 1, course),  # tail
+            (r_of("has_concept"), course, 0),  # head
+            (r_of("enrolled"), 0, course),  # tail
+            (r_of("belongs_to"), course, 1),  # head
+            (r_of("provides"), 0, 3),
+        ]
+        batch = np.array(picks, dtype=np.int64)
+        negatives = self.negatives_for(batch, m=3)
+        for i, (r, _h, _t) in enumerate(picks):
+            if relation_types(RELATIONS[r])[1] == "course":
+                negatives[i, 1] = course
+        assert_matches_reference(self.kg, batch, negatives, d)
+
+    def test_repeated_negatives_and_triples(self, d):
+        batch = np.concatenate([self.triples, self.triples[::3]])
+        negatives = np.zeros((len(batch), 4), dtype=np.int64)  # tail 0 of every type, 4 times
+        assert_matches_reference(self.kg, batch, negatives, d)
+
+    def test_ragged_last_batch(self, d):
+        order = np.random.default_rng(5).permutation(len(self.triples))
+        batch = self.triples[order[-(len(self.triples) % 8) :]]
+        assert 0 < len(batch) < 8
+        assert_matches_reference(self.kg, batch, self.negatives_for(batch), d)
+
+
+def assert_trainer_matches_reference(kg, cfg):
+    table, losses = train_embeddings(kg, cfg)
+    params, ref_losses = reference_train_embeddings(kg, cfg)
+    assert losses == ref_losses
+    for etype, arr in table.entity.items():
+        np.testing.assert_array_equal(arr, params[etype], err_msg=etype)
+    for rel, vec in table.relation.items():
+        np.testing.assert_array_equal(vec, params[rel], err_msg=rel)
+
+
+class TestFlatMatrixTrainer:
+    def test_three_epochs_equal_per_tensor_reference(self):
+        kg = generate(SynthConfig(n_learners=24, n_courses=18, seed=2))
+        assert_trainer_matches_reference(
+            kg, EmbedConfig(d=16, epochs=3, learning_rate=5e-3, batch_size=64, seed=4)
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 10_000])
+    def test_batch_sizes_equal_reference(self, batch_size):
+        kg = make_tiny_kg(with_school=True)
+        assert len(_canonical_triples(kg)) % 7 != 0 and len(_canonical_triples(kg)) < 10_000
+        assert_trainer_matches_reference(
+            kg, EmbedConfig(d=5, epochs=3, learning_rate=1e-2, batch_size=batch_size, seed=1)
+        )
+
+    def test_second_call_leaves_first_table_alone(self):
+        kg = make_tiny_kg(with_school=True)
+        first, _ = train_embeddings(kg, EmbedConfig(d=6, epochs=2, batch_size=8, seed=0))
+        before = {key: arr.copy() for key, arr in {**first.entity, **first.relation}.items()}
+        train_embeddings(kg, EmbedConfig(d=6, epochs=2, batch_size=8, seed=0))
+        train_embeddings(kg, EmbedConfig(d=6, epochs=2, batch_size=3, seed=5))
+        for key, arr in {**first.entity, **first.relation}.items():
+            np.testing.assert_array_equal(arr, before[key], err_msg=key)
+
+    def test_huge_learning_rate_diverges(self):
+        kg = make_tiny_kg(with_school=True)
+        cfg = EmbedConfig(d=4, epochs=3, learning_rate=1e300, batch_size=4, seed=0)
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 1"):
+            train_embeddings(kg, cfg)
 
 
 class TestCheckpoint:

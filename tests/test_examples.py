@@ -52,9 +52,11 @@ def test_every_pathrec_import_of_the_examples_resolves():
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)
 def test_quick_demo_runs(name, tmp_path):
-    # demo 01 writes under tempfile.mkdtemp(); TMPDIR keeps that in tmp_path
+    # demo 01 writes under a temporary directory; TMPDIR keeps that in
+    # tmp_path, where the demo must not leave it behind
     env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert list(tmp_path.glob("pathrec-demo-*")) == []
