@@ -24,6 +24,7 @@ from .errors import (
     PathrecError,
 )
 from .inference import (
+    Beam,
     RecommendationList,
     RecommendedItem,
     beam_search,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +47,56 @@ class RecommendationList:
         return [item.course for item in self.items]
 
 
+class Beam:
+    """The final prefixes of one beam search, as a sequence of (Path, score) pairs.
+
+    A prefix is stored as back-pointers: each level holds every prefix's
+    parent prefix and kept slot, and the kept slots' hops. `acc` holds the
+    prefixes' path log-probabilities and `final_course` each prefix's
+    terminal course index, or -1 where it ends on another entity type, so a
+    ranker reads both without building a `Path`. `paths` builds the `Path`s
+    of chosen prefixes; indexing and iteration go through it.
+    """
+
+    def __init__(
+        self,
+        learner: EntityRef,
+        levels: list[tuple[np.ndarray, np.ndarray, list[Action]]],
+        acc: np.ndarray,
+    ):
+        self.learner = learner
+        self.levels = levels
+        self.acc = acc
+        _parent, slot, hops = levels[-1]
+        slot_course = [ent.index if ent.entity_type == "course" else -1 for _rel, ent in hops]
+        self.final_course = np.array(slot_course, dtype=np.intp)[slot]
+
+    def __len__(self) -> int:
+        return len(self.acc)
+
+    def __getitem__(self, i: int) -> tuple[Path, float]:
+        i = range(len(self.acc))[operator.index(i)]  # negative from the end; IndexError past it
+        return self.paths([i])[0], float(self.acc[i])
+
+    def __iter__(self) -> Iterator[tuple[Path, float]]:
+        return zip(self.paths(np.arange(len(self.acc))), self.acc.tolist())
+
+    def paths(self, indices) -> list[Path]:
+        """The `Path`s of the given prefixes, walking the levels back column by column."""
+        prefix = np.asarray(indices, dtype=np.intp)
+        columns = []
+        for parent, slot, hops in reversed(self.levels):
+            columns.append(list(map(hops.__getitem__, slot[prefix].tolist())))
+            prefix = parent[prefix]
+        return [Path(self.learner, hops) for hops in zip(*reversed(columns))]
+
+
 def beam_search(
     learner: EntityRef,
     env: PathEnv,
     params: dict[str, np.ndarray],
     beam_widths: tuple[int, ...],
-) -> list[tuple[Path, float]]:
+) -> Beam:
     """All completed budget-length paths surviving per-level truncation.
 
     At level k each surviving prefix keeps its beam_widths[k] most probable
@@ -60,11 +106,12 @@ def beam_search(
     layers are one matrix product, and each state scores its action set and
     keeps its top actions once. Prefixes are index arrays (state, parent,
     kept slot) and the path log-probabilities a float64 array grown in the
-    per-prefix order; hops are read back once, for the last level. The list
-    is that of expanding every prefix on its own, in the same order, with
-    the same paths; the scores agree with it to within rounding, not bit for
-    bit, because the matrix product and the segment sums of the softmax add
-    in another order than one state's `policy_forward` does.
+    per-prefix order; the returned `Beam` keeps them and builds `Path`s on
+    demand. As a sequence it is that of expanding every prefix on its own,
+    in the same order, with the same paths; the scores agree with it to
+    within rounding, not bit for bit, because the matrix product and the
+    segment sums of the softmax add in another order than one state's
+    `policy_forward` does.
     """
     if any(w < 1 for w in beam_widths):
         raise ConfigError("beam widths must be >= 1")
@@ -125,37 +172,34 @@ def beam_search(
         self_loop = np.array([hops[j][0] == SELF_LOOP for j in first], dtype=bool)
         features = step_features(features[source], rows, self_loop, n_hist)
         keys = list(child_index)
-    prefix = np.arange(len(acc))
-    columns = []
-    for parent, slot, hops in reversed(levels):
-        columns.append(list(map(hops.__getitem__, slot[prefix].tolist())))
-        prefix = parent[prefix]
-    paths = [Path(learner, hops) for hops in zip(*reversed(columns))]
-    return list(zip(paths, acc.tolist()))
+    return Beam(learner, levels, acc)
 
 
 def rank_candidates(
-    paths: list[tuple[Path, float]],
+    beam: Beam,
     learner: EntityRef,
     train_courses: frozenset[int],
     n: int = 10,
 ) -> RecommendationList:
     """Keep course-terminal paths to unseen courses; one item per course.
 
-    A course's score is its best path's log-probability; ties in score break
-    by course index. The list is truncated to n (shorter means invalid user).
+    A course's score is its best path's log-probability, and of equal best
+    paths the earlier prefix explains it; ties in score break by course
+    index. The list is truncated to n (shorter means invalid user), and
+    `Path`s are built only for the listed items.
     """
-    best: dict[int, tuple[float, Path]] = {}
-    for path, log_prob in paths:
-        final = path.final_entity
-        if final.entity_type != "course" or final.index in train_courses:
-            continue
-        seen = best.get(final.index)
-        if seen is None or log_prob > seen[0]:
-            best[final.index] = (log_prob, path)
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))[:n]
+    prefix = np.flatnonzero(
+        (beam.final_course >= 0) & ~np.isin(beam.final_course, list(train_courses))
+    )
+    course, score = beam.final_course[prefix], beam.acc[prefix]
+    # sorted by course, falling score and prefix, each course's run starts with its best
+    # prefix; of equal scores the earlier prefix, as a strictly-greater update would keep
+    order = np.lexsort((prefix, -score, course))
+    best = order[np.flatnonzero(np.diff(course[order], prepend=-1))]
+    top = best[np.lexsort((course[best], -score[best]))][:n]
     items = tuple(
-        RecommendedItem(EntityRef("course", c), score, path) for c, (score, path) in ranked
+        RecommendedItem(EntityRef("course", c), s, path)
+        for c, s, path in zip(course[top].tolist(), score[top].tolist(), beam.paths(prefix[top]))
     )
     return RecommendationList(learner=learner, items=items, n=n)
 
@@ -172,8 +216,8 @@ def recommend_all(
     lists: dict[int, RecommendationList] = {}
     invalid = 0
     for learner in learners:
-        paths = beam_search(learner, env, params, beam_widths)
-        rec = rank_candidates(paths, learner, train_sets.get(learner.index, frozenset()), n)
+        beam = beam_search(learner, env, params, beam_widths)
+        rec = rank_candidates(beam, learner, train_sets.get(learner.index, frozenset()), n)
         lists[learner.index] = rec
         invalid += 0 if rec.is_valid else 1
     return lists, invalid / len(learners) if learners else 0.0
@@ -229,10 +273,22 @@ def _item_from_json(learner: EntityRef, item_json: dict, kg: KnowledgeGraph) -> 
     return RecommendedItem(course=course, score=score, best_path=best_path)
 
 
+def _check_ranked(items: tuple[RecommendedItem, ...], kg: KnowledgeGraph) -> None:
+    """A saved list names each course once, with scores that never rise."""
+    seen: set[EntityRef] = set()
+    for prev, item in zip((None, *items), items):
+        if item.course in seen:
+            raise ValueError(f"course {kg.raw_id(item.course)} is listed twice")
+        if prev is not None and item.score > prev.score:
+            raise ValueError(f"score {item.score} rises above the previous item's {prev.score}")
+        seen.add(item.course)
+
+
 def load_recommendations(
     path: str, kg: KnowledgeGraph, n: int = 10
 ) -> dict[int, RecommendationList]:
     lists: dict[int, RecommendationList] = {}
+    line_of: dict[int, int] = {}  # learner index -> the line that listed it
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -241,8 +297,13 @@ def load_recommendations(
             try:
                 obj = json.loads(line)
                 learner = kg.entity("learner", obj["learner"])
+                if learner.index in line_of:
+                    first = line_of[learner.index]
+                    raise ValueError(f"learner {obj['learner']} is already listed on line {first}")
                 items = tuple(_item_from_json(learner, it, kg) for it in obj["items"])
+                _check_ranked(items, kg)
             except (KeyError, ValueError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed recommendation line: {exc}") from exc
+            line_of[learner.index] = lineno
             lists[learner.index] = RecommendationList(learner=learner, items=items, n=n)
     return lists

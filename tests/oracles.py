@@ -6,9 +6,10 @@ and policy gradients with central finite differences (embedding gradients
 also on one tensor per entity type and relation, with `np.add.at` scatters
 and per-tensor Adam; policy gradients also with a per-step loop of outer
 products, and advantages with a fresh forward pass per step), rollouts
-against a walk through `PathEnv.step`, and beam results against exhaustive
+against a walk through `PathEnv.step`, beam results against exhaustive
 action-sequence enumeration and against a beam search that expands every
-prefix on its own.
+prefix on its own, and candidate ranking against a dict of each course's
+best (Path, score) pair.
 """
 
 import math
@@ -20,10 +21,11 @@ from pathrec.embeddings import (
 )
 from pathrec.environment import Path, reward
 from pathrec.errors import DivergenceError
+from pathrec.inference import RecommendationList, RecommendedItem
 from pathrec.kg import KnowledgeGraph
 from pathrec.optim import Adam, softplus, stable_sigmoid
 from pathrec.policy import baseline, feature_size, policy_forward
-from pathrec.schema import ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, relation_types
+from pathrec.schema import ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, relation_types
 
 
 def metrics_oracle(ranked, relevant, k):
@@ -331,6 +333,25 @@ def reference_beam_search(learner, env, params, beam_widths):
                 grown.append((env.step(state, action), (*hops, action), acc + float(logp[idx])))
         beams = grown
     return [(Path(learner, hops), acc) for _state, hops, acc in beams]
+
+
+def reference_rank_candidates(pairs, learner, train_courses, n=10):
+    """`rank_candidates` over a list of (Path, score) pairs, with one dict
+    entry per unseen course; a later prefix replaces it only on a strictly
+    higher score."""
+    best: dict[int, tuple[float, Path]] = {}
+    for path, log_prob in pairs:
+        final = path.final_entity
+        if final.entity_type != "course" or final.index in train_courses:
+            continue
+        seen = best.get(final.index)
+        if seen is None or log_prob > seen[0]:
+            best[final.index] = (log_prob, path)
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))[:n]
+    items = tuple(
+        RecommendedItem(EntityRef("course", c), score, path) for c, (score, path) in ranked
+    )
+    return RecommendationList(learner=learner, items=items, n=n)
 
 
 def enumerate_terminal_courses(env, learner, budget, train_courses):

@@ -13,6 +13,7 @@ from pathrec.embeddings import EmbedConfig, init_embeddings
 from pathrec.environment import Path, PathEnv
 from pathrec.errors import ConfigError, DataError
 from pathrec.inference import (
+    Beam,
     beam_search,
     load_recommendations,
     rank_candidates,
@@ -24,7 +25,12 @@ from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
 from conftest import GOLDEN_SCORE_ABS, flip_bit, make_tiny_kg, put_bad_byte
-from oracles import enumerate_terminal_courses, reference_beam_search, state_features
+from oracles import (
+    enumerate_terminal_courses,
+    reference_beam_search,
+    reference_rank_candidates,
+    state_features,
+)
 
 L = lambda i: EntityRef("learner", i)
 C = lambda i: EntityRef("course", i)
@@ -58,6 +64,26 @@ def assert_matches_oracle(got, want):
     assert [path for path, _ in got] == [path for path, _ in want]
     worst = max((abs(a - b) for (_, a), (_, b) in zip(got, want)), default=0.0)
     assert worst <= BEAM_SCORE_ABS, worst
+
+
+def beam_of(learner, pairs):
+    """A `Beam` holding the given (Path, score) pairs in order, as one chain of
+    back-pointers per path; the paths must have equal hop counts."""
+    (n_hops,) = {len(path.hops) for path, _ in pairs}
+    chain = np.arange(len(pairs))
+    levels = [
+        (chain if k else np.zeros(len(pairs), dtype=np.intp), chain,
+         [path.hops[k] for path, _ in pairs])
+        for k in range(n_hops)
+    ]
+    return Beam(learner, levels, np.array([score for _, score in pairs], dtype=float))
+
+
+def assert_same_list(got, want):
+    assert got.learner == want.learner and got.n == want.n
+    assert [(i.course, i.score, i.best_path) for i in got.items] == [
+        (i.course, i.score, i.best_path) for i in want.items
+    ]
 
 
 def synth_setup(history, d=6, hidden=8):
@@ -237,6 +263,22 @@ class TestBeamSearch:
         with pytest.raises(ConfigError):
             beam_search(L(0), env, params, (5, 0, 5))
 
+    def test_beam_is_the_sequence_of_its_pairs(self):
+        kg, env, params = synth_setup(history=1)
+        beam = beam_search(kg.learners()[0], env, params, FIVE_HOPS)
+        pairs = list(beam)
+        assert len(pairs) == len(beam) > 2
+        for i in (0, 1, len(beam) // 2, len(beam) - 1):
+            assert beam[i] == pairs[i]
+            assert beam[i - len(beam)] == pairs[i]
+        for i in (len(beam), -len(beam) - 1):
+            with pytest.raises(IndexError):
+                beam[i]
+        assert beam.final_course.tolist() == [
+            path.final_entity.index if path.final_entity.entity_type == "course" else -1
+            for path, _ in pairs
+        ]
+
 
 class TestRankCandidates:
     def test_all_teacher_terminal_gives_empty_list(self):
@@ -244,14 +286,14 @@ class TestRankCandidates:
             (Path(L(0), (("enrolled", C(0)), ("teaches_inv", T(0)))), -0.5),
             (Path(L(0), (("enrolled", C(1)), ("teaches_inv", T(1)))), -0.1),
         ]
-        rec = rank_candidates(paths, L(0), TRAIN[0], n=10)
+        rec = rank_candidates(beam_of(L(0), paths), L(0), TRAIN[0], n=10)
         assert rec.items == ()
         assert not rec.is_valid
 
     def test_max_log_prob_kept_per_course(self):
         hops = (("enrolled", C(0)), ("enrolled_inv", L(1)), ("enrolled", C(3)))
         paths = [(Path(L(0), hops), -1.2), (Path(L(0), hops), -0.7)]
-        rec = rank_candidates(paths, L(0), TRAIN[0], n=10)
+        rec = rank_candidates(beam_of(L(0), paths), L(0), TRAIN[0], n=10)
         assert len(rec.items) == 1
         assert rec.items[0].score == pytest.approx(-0.7)
 
@@ -260,8 +302,83 @@ class TestRankCandidates:
             (Path(L(0), (("enrolled", C(0)), (SELF_LOOP, C(0)), (SELF_LOOP, C(0)))), -0.01),
             (Path(L(0), (("enrolled", C(0)), ("enrolled_inv", L(1)), ("enrolled", C(4)))), -2.0),
         ]
-        rec = rank_candidates(paths, L(0), TRAIN[0], n=10)
+        rec = rank_candidates(beam_of(L(0), paths), L(0), TRAIN[0], n=10)
         assert [item.course for item in rec.items] == [C(4)]
+
+    # tie and edge cases: each list must equal the dict oracle's, and show the
+    # asserted order on its own
+    def test_equal_best_scores_keep_the_earlier_prefix(self):
+        first = Path(L(0), (("enrolled", C(0)), ("enrolled_inv", L(1)), ("enrolled", C(3))))
+        second = Path(L(0), (("enrolled", C(1)), ("enrolled_inv", L(2)), ("enrolled", C(3))))
+        worse = Path(L(0), (("enrolled", C(2)), ("enrolled_inv", L(3)), ("enrolled", C(3))))
+        pairs = [(worse, -2.0), (first, -0.5), (second, -0.5)]
+        rec = rank_candidates(beam_of(L(0), pairs), L(0), TRAIN[0], n=10)
+        assert_same_list(rec, reference_rank_candidates(pairs, L(0), TRAIN[0], n=10))
+        assert [(i.course, i.score, i.best_path) for i in rec.items] == [(C(3), -0.5, first)]
+
+    def test_equal_scores_on_different_courses_rank_by_course_index(self):
+        pairs = [
+            (Path(L(0), (("enrolled", C(0)), ("enrolled_inv", L(1)), ("enrolled", C(c)))), score)
+            for c, score in ((5, -1.0), (3, -1.0), (4, -1.0), (1, -3.0), (6, -0.25))
+        ]
+        rec = rank_candidates(beam_of(L(0), pairs), L(0), TRAIN[1], n=10)
+        assert_same_list(rec, reference_rank_candidates(pairs, L(0), TRAIN[1], n=10))
+        assert rec.courses() == [C(6), C(3), C(4), C(5)]
+
+    @pytest.mark.parametrize("finals", [
+        [C(0), C(1), C(2), C(1)],  # every course reached is a train course
+        [T(0), L(1), EntityRef("concept", 2), T(1)],  # no prefix ends on a course
+    ])
+    def test_no_unseen_course_gives_empty_list(self, finals):
+        pairs = [
+            (Path(L(0), (("enrolled", C(0)), ("x", final))), -0.1 * k)
+            for k, final in enumerate(finals)
+        ]
+        rec = rank_candidates(beam_of(L(0), pairs), L(0), TRAIN[0], n=3)
+        assert_same_list(rec, reference_rank_candidates(pairs, L(0), TRAIN[0], n=3))
+        assert rec.items == () and not rec.is_valid
+
+    def test_n_below_unseen_count_truncates(self):
+        pairs = [
+            (Path(L(0), (("enrolled", C(0)), ("enrolled_inv", L(1)), ("enrolled", C(c)))), score)
+            for c, score in ((3, -1.0), (4, -0.2), (5, -0.7), (6, -0.9), (4, -0.1), (7, -0.7))
+        ]
+        rec = rank_candidates(beam_of(L(0), pairs), L(0), TRAIN[0], n=3)
+        assert_same_list(rec, reference_rank_candidates(pairs, L(0), TRAIN[0], n=3))
+        assert rec.courses() == [C(4), C(5), C(7)] and rec.is_valid
+
+    @given(ends=st.lists(
+        st.tuples(st.sampled_from(["course", "teacher"]), st.integers(0, 5),
+                  st.sampled_from([-2.0, -1.0, -0.5, 0.0])),
+        min_size=1, max_size=30,
+    ), n=st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dict_oracle_under_ties(self, ends, n):
+        pairs = [
+            (Path(L(0), ((f"r{k}", C(k)), ("x", EntityRef(kind, i)))), score)
+            for k, (kind, i, score) in enumerate(ends)
+        ]
+        assert_same_list(
+            rank_candidates(beam_of(L(0), pairs), L(0), TRAIN[0], n),
+            reference_rank_candidates(pairs, L(0), TRAIN[0], n),
+        )
+
+    def test_deep_beam_builds_paths_for_listed_items_only(self, monkeypatch):
+        kg, env, params = synth_setup(history=1)
+        learner = kg.learners()[0]
+        beam = beam_search(learner, env, params, (25, 5, 5, 5, 1))
+        want = reference_rank_candidates(list(beam), learner, TRAIN[0], n=5)
+        built = []
+
+        def counting_path(*args):
+            built.append(args)
+            return Path(*args)
+
+        monkeypatch.setattr(inference, "Path", counting_path)
+        rec = rank_candidates(beam, learner, TRAIN[0], n=5)
+        assert len(beam) > 1000
+        assert len(built) == len(rec.items) <= 5
+        assert_same_list(rec, want)
 
     def test_scores_non_increasing_and_courses_distinct(self):
         _kg, env, params = tiny_setup()
@@ -290,9 +407,8 @@ class TestRecommendAll:
         train = {u.index: frozenset({u.index % 15, (3 * u.index) % 15}) for u in kg.learners()}
         lists, _ = recommend_all(kg.learners(), env, params, train, widths, n=5)
         for learner in kg.learners():
-            oracle = rank_candidates(
-                reference_beam_search(learner, env, params, widths), learner, train[learner.index], 5
-            )
+            pairs = reference_beam_search(learner, env, params, widths)
+            oracle = reference_rank_candidates(pairs, learner, train[learner.index], 5)
             got = lists[learner.index]
             assert got.courses() == oracle.courses()
             assert [i.best_path for i in got.items] == [i.best_path for i in oracle.items]
@@ -379,6 +495,36 @@ class TestRecommendationLoaderFaults:
         other = next(c for c in kg.vocab["course"] if c != first["course"])
         with pytest.raises(DataError, match=r"recs\.jsonl:1: .*not at the item's course"):
             load_recommendations(edit_first_item(path, course=other), kg, n=5)
+
+    def test_repeated_learner_line_is_data_error(self, tiny_recs, tmp_path):
+        kg, data = tiny_recs
+        path = tmp_path / "recs.jsonl"
+        lines = data.decode("utf-8").splitlines()
+        path.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        repeat = len(lines) + 1
+        with pytest.raises(DataError, match=rf"recs\.jsonl:{repeat}: .*already listed on line 1"):
+            load_recommendations(str(path), kg, n=5)
+
+    def test_repeated_course_is_data_error(self, tiny_recs, tmp_path):
+        kg, data = tiny_recs
+        path = tmp_path / "recs.jsonl"
+        lines = data.decode("utf-8").splitlines()
+        obj = json.loads(lines[0])
+        assert len(obj["items"]) >= 2, "the first list needs two items"
+        obj["items"][1] = obj["items"][0]
+        path.write_text("\n".join([json.dumps(obj), *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"recs\.jsonl:1: .*listed twice"):
+            load_recommendations(str(path), kg, n=5)
+
+    def test_rising_scores_are_data_error(self, tiny_recs, tmp_path):
+        kg, data = tiny_recs
+        path = tmp_path / "recs.jsonl"
+        lines = data.decode("utf-8").splitlines()
+        obj = json.loads(lines[0])
+        obj["items"][1]["score"] = obj["items"][0]["score"] + 0.5
+        path.write_text("\n".join([json.dumps(obj), *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"recs\.jsonl:1: .*rises above"):
+            load_recommendations(str(path), kg, n=5)
 
     @given(at=st.integers(0, 10_000), bit=st.integers(0, 7))
     @settings(max_examples=300)

@@ -2,10 +2,19 @@
 methods by attribute name. A renamed or dropped attribute would make its
 wrapper fail at install time, or, for an alias such as
 `inference.policy_forward`, silently stop counting calls, so every target
-must still be defined on its owner."""
+must still be defined on its owner, and the observers that count beam paths
+must still read what `beam_search` returns."""
 
 import os
 import sys
+
+import numpy as np
+from conftest import make_tiny_kg
+
+from pathrec.embeddings import EmbedConfig, init_embeddings
+from pathrec.environment import PathEnv
+from pathrec.inference import beam_search
+from pathrec.policy import AgentConfig, init_policy
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -19,3 +28,23 @@ def test_every_traced_attribute_is_defined_on_its_owner():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_inference_observers_read_a_real_beam():
+    # the tracer's observers take a beam's length and iterate it as (path,
+    # score) pairs, so a return type that stopped behaving as that sequence
+    # would skew `inference.paths_per_learner` and `course_terminal_ratio`
+    observe = {
+        attr: observer for owner, attr, _layer, _call, _count, observer in tracing.TARGETS
+        if attr in ("beam_search", "rank_candidates")
+    }
+    kg = make_tiny_kg()
+    env = PathEnv(kg, init_embeddings(kg, EmbedConfig(d=4, seed=1)), 250, 1)
+    params = init_policy(4, AgentConfig(hidden=8, seed=1))
+    learner, train, widths = kg.learners()[1], frozenset({0, 1}), (10, 10, 10)
+    beam = beam_search(learner, env, params, widths)
+    unseen = (beam.final_course >= 0) & ~np.isin(beam.final_course, sorted(train))
+    assert observe["beam_search"](beam, (learner, env, params, widths), {}) == len(beam.acc) > 1
+    got = observe["rank_candidates"](None, (beam, learner, train, 10), {})
+    assert got == np.count_nonzero(unseen)
+    assert 0 < got < len(beam.acc)
