@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, atomic_write, open_text
 from .kg import KnowledgeGraph
 # `policy_forward` is not called here, but it stays bound as `inference.policy_forward`:
 # perfbench/tracing.py wraps that attribute by name.
-from .policy import action_queries, policy_forward, start_features, step_features  # noqa: F401
+from .policy import hop_forward, policy_forward, start_features, step_features  # noqa: F401
 from .schema import SELF_LOOP, EntityRef, relation_types
 
 DEFAULT_BEAM_WIDTHS = {3: (25, 5, 1), 4: (25, 5, 5, 1), 5: (25, 5, 5, 5, 1)}
@@ -124,14 +124,9 @@ def beam_search(
     levels = []  # per level: each prefix's parent prefix and kept slot, and the slots' hops
     for level, width in enumerate(beam_widths):
         # score every state's action set, as segments of one array of logits
-        queries = action_queries(params, features)
         asets = [env.action_set(current) for current, _history in keys]
-        logits = np.concatenate([aset.matrix @ q for aset, q in zip(asets, queries)])
-        sizes = np.array([len(aset.actions) for aset in asets])
-        seg_start = np.cumsum(sizes) - sizes
-        seg = np.repeat(np.arange(len(asets)), sizes)
-        shifted = logits - np.maximum.reduceat(logits, seg_start)[seg]
-        log_probs = shifted - np.log(np.add.reduceat(np.exp(shifted), seg_start))[seg]
+        hop = hop_forward(params, features, [aset.matrix for aset in asets])
+        log_probs, sizes, seg_start, seg = hop.log_probs, hop.sizes, hop.starts, hop.seg
         # each state's top `width` rows: the sort keeps every state's rows in its
         # own segment, and lexsort is stable, so ties keep action order
         order = np.lexsort((-log_probs, seg))

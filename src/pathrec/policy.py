@@ -8,14 +8,21 @@ surrogate sum_t log pi(a_t|s_t) * (G_t - b(s_t)) plus an entropy bonus,
 while the baseline head is regressed onto the return by squared error.
 Rewards are terminal-only, so with the default gamma of 1 the return at
 every step equals the episode reward.
+
+Training runs each batch of episodes in lockstep, hop by hop: a hop is one
+`hop_forward` over the stacked states of all the batch's walks (beam search
+runs the same pass over a level's states). The batch keeps each hop's pass,
+and the update works on it one hop at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +37,6 @@ from .optim import Adam
 from .schema import EntityRef
 
 POL_MAGIC = "UPGPR-POL v1"
-# steps stacked per matrix product in `batch_gradients`; bounds the stacked
-# arrays to a few MB at PGPR width instead of growing with the batch
-GRAD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,11 @@ class AgentConfig:
     optimizer: str = "adam"
 
     def validate(self) -> None:
+        counts = (self.max_hops_eval, self.epochs, self.episodes_per_learner, self.hidden,
+                  self.history, self.batch_episodes, self.max_actions, self.seed)
+        # a float count passes the range checks below, then fails as a bare TypeError
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
+            raise ConfigError("count and seed settings must be integers")
         if self.max_hops_eval not in (3, 4, 5):
             raise ConfigError("max_hops_eval must be 3, 4 or 5")
         if self.epochs < 0 or not self.learning_rate >= 0:  # also rejects NaN
@@ -61,8 +70,8 @@ class AgentConfig:
         )
         if any(v <= 0 for v in positive):
             raise ConfigError("episode, width and batch settings must be positive")
-        if self.history < 0 or not self.entropy_weight >= 0:
-            raise ConfigError("history and entropy_weight must be non-negative")
+        if self.history < 0 or self.seed < 0 or not self.entropy_weight >= 0:
+            raise ConfigError("history, seed and entropy_weight must be non-negative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
         if self.optimizer != "adam":
@@ -115,15 +124,15 @@ def step_features(
 
     Row i takes the action whose `ActionSet.matrix` row is action_rows[i] from
     the state whose features are features[i]; the bool array self_loop marks
-    the rows that take the self-loop.
-    Each value is copied, or is v_start minus the new v_current, so a walk's
-    features are the same bit for bit whether it steps alone (`sample_episode`)
-    or batched with other states (`beam_search`).
+    the rows that take the self-loop. Both callers step a stack of states:
+    `sample_episodes` its batch of walks, `beam_search` a level's distinct
+    states. Each value is copied, or is v_start minus the new v_current, so a
+    walk's features are the same bit for bit in any stack.
     """
     d = action_rows.shape[1] // 2
     start, tail = features[:, :d], action_rows[:, d:]
-    # one concatenate instead of a slice assignment per block: a walk makes
-    # this call once per step, where numpy's per-call overhead is the cost
+    # one concatenate instead of a slice assignment per block: a batch makes
+    # this call once per hop, where numpy's per-call overhead is the cost
     blocks = [start, tail, start - tail]
     if history:
         blocks += [action_rows, features[:, 3 * d : -2 * d]]
@@ -140,7 +149,7 @@ def policy_forward(
 
     Returns (probs, log_probs, hidden); probs is a masked softmax over exactly
     the candidates in `action_matrix` rows, and `baseline(params, hidden)`
-    is the state's value.
+    is the state's value. `hop_forward` does this for a stack of states.
     """
     h = np.tanh(params["w1"] @ features + params["b1"])
     logits = action_matrix @ (params["proj"].T @ h)
@@ -152,108 +161,185 @@ def policy_forward(
     return probs, log_probs, h
 
 
-def baseline(params: dict[str, np.ndarray], hidden: np.ndarray) -> float:
-    """The baseline head's value b(s) for a state with this hidden layer."""
-    return float(params["v_w"] @ hidden + params["v_b"][0])
-
-
-def action_queries(params: dict[str, np.ndarray], features: np.ndarray) -> np.ndarray:
-    """One query row per row of `features`: an action's logit is its matrix row
-    dotted with the query.
-
-    This is the hidden layer of `policy_forward` for a stack of states, one
-    matrix product per weight; a row equals its `proj.T @ h` up to rounding.
-    """
-    return np.tanh(features @ params["w1"].T + params["b1"]) @ params["proj"]
+def baseline(params: dict[str, np.ndarray], hidden: np.ndarray):
+    """The baseline head's value b(s) for a state with this hidden layer, or
+    one value per row of a stack of hidden layers."""
+    return hidden @ params["v_w"] + params["v_b"][0]
 
 
 @dataclass
-class EpisodeStep:
-    """One sampled step, with the forward pass of the parameters that sampled it.
+class Hop:
+    """`hop_forward` of a stack of states, and the action each walk took.
 
-    `probs`, `log_probs` and `hidden` are what `policy_forward` returned for
-    `features` and `action_matrix`. They hold only for that `w1`, `b1` and
-    `proj`, so a step is used by an update at those parameters; the baseline
-    head is not stored but read from the update's parameters.
+    State i has features[i], hidden layer hidden[i] and action matrix
+    matrices[i]; its distribution is the segment of `probs` and `log_probs`
+    of sizes[i] rows from starts[i] (seg[r] is the state of row r), with
+    entropy entropy[i]. `sample_episodes` sets chosen[i], the row walk i took.
     """
 
     features: np.ndarray
-    action_matrix: np.ndarray
-    chosen: int
+    hidden: np.ndarray
+    matrices: list[np.ndarray]
     probs: np.ndarray
     log_probs: np.ndarray
-    hidden: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    seg: np.ndarray
+    entropy: np.ndarray
+    chosen: np.ndarray | None = None
+
+
+def hop_forward(
+    params: dict[str, np.ndarray], features: np.ndarray, matrices: list[np.ndarray]
+) -> Hop:
+    """`policy_forward` of each row of `features`, row i over the actions of matrices[i].
+
+    The hidden layers and their queries `hidden @ proj` are one matrix product
+    each, and the distributions segments of one logit array. They agree with
+    `policy_forward` to within rounding, not bit for bit: the products and
+    the segment sums add in another order.
+    """
+    hidden = np.tanh(features @ params["w1"].T + params["b1"])
+    queries = hidden @ params["proj"]
+    logits = np.concatenate([m @ q for m, q in zip(matrices, queries)])
+    sizes = np.array([len(m) for m in matrices])
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(matrices)), sizes)
+    shifted = logits - np.maximum.reduceat(logits, starts)[seg]
+    exp = np.exp(shifted)
+    z = np.add.reduceat(exp, starts)
+    probs, log_probs = exp / z[seg], shifted - np.log(z)[seg]
+    entropy = -np.add.reduceat(probs * log_probs, starts)
+    return Hop(features, hidden, matrices, probs, log_probs, sizes, starts, seg, entropy)
+
+
+class Step(NamedTuple):
+    features: np.ndarray
+    action_matrix: np.ndarray
+    chosen: int
 
 
 @dataclass
 class Episode:
-    learner: EntityRef
+    """One sampled walk, row `row` of each of its batch's `hops`; their forward
+    pass holds for the parameters that sampled it, which its update must use."""
+
     path: Path
-    steps: list[EpisodeStep]
     reward: float
     entropy: float  # mean over steps, for logging
+    hops: list[Hop]
+    row: int
+
+    @property
+    def steps(self) -> list[Step]:
+        """Each step's state features, action matrix and chosen row."""
+        i = self.row
+        return [Step(h.features[i], h.matrices[i], int(h.chosen[i])) for h in self.hops]
+
+
+def sample_episodes(
+    learners: list[EntityRef], env: PathEnv, params: dict[str, np.ndarray], spec: RewardSpec,
+    hop_budget: int, rngs: list[np.random.Generator],
+) -> list[Episode]:
+    """Roll a walk from each learner for the full hop budget, all in lockstep.
+
+    Walk i draws each action by one `rngs[i].random()` against its cumulative
+    probabilities, so its path does not depend on the batch. Walks step as in
+    `beam_search`. The hops keep their forward pass, which `compute_advantages`
+    and `batch_gradients` reuse, so they must be given these same `params`
+    (the parameters are frozen within a batch).
+    """
+    if not learners:
+        raise ValueError("empty episode batch")
+    for learner in learners:
+        env.initial_state(learner, hop_budget)  # rejects a non-learner start and an empty budget
+    x = np.array([start_features(env.embeddings, u, env.history_len) for u in learners])
+    current = list(learners)
+    hops, taken = [], []
+    for t in range(hop_budget):
+        asets = [env.action_set(entity) for entity in current]
+        hop = hop_forward(params, x, [aset.matrix for aset in asets])
+        # a zero-padded row per walk: its running sums are those of its segment
+        padded = np.zeros((len(hop.sizes), hop.sizes.max()))
+        padded[hop.seg, np.arange(len(hop.probs)) - hop.starts[hop.seg]] = hop.probs
+        draws = np.array([rng.random() for rng in rngs])
+        below = np.count_nonzero(np.cumsum(padded, axis=1) <= draws[:, None], axis=1)
+        hop.chosen = np.minimum(below, hop.sizes - 1)
+        hops.append(hop)
+        chosen = hop.chosen.tolist()
+        actions = [aset.actions[k] for aset, k in zip(asets, chosen)]
+        taken.append(actions)
+        current = [tail for _rel, tail in actions]  # action 0 is the self-loop, onto `current`
+        if t + 1 < hop_budget:
+            rows = np.array([m[k] for m, k in zip(hop.matrices, chosen)])
+            x = step_features(x, rows, hop.chosen == 0, env.history_len)
+    entropy = sum(hop.entropy for hop in hops) / hop_budget
+    paths = [Path(u, walk) for u, walk in zip(learners, zip(*taken))]
+    return [
+        Episode(path, reward(path, spec), float(entropy[i]), hops, i)
+        for i, path in enumerate(paths)
+    ]
 
 
 def sample_episode(
-    learner: EntityRef,
-    env: PathEnv,
-    params: dict[str, np.ndarray],
-    spec: RewardSpec,
-    hop_budget: int,
-    rng: np.random.Generator,
+    learner: EntityRef, env: PathEnv, params: dict[str, np.ndarray], spec: RewardSpec,
+    hop_budget: int, rng: np.random.Generator,
 ) -> Episode:
-    """Roll the full hop budget, sampling each action from the policy.
+    """The one-walk case of `sample_episodes`."""
+    return sample_episodes([learner], env, params, spec, hop_budget, [rng])[0]
 
-    The walk steps as `beam_search` does: it stands on the chosen action's
-    tail, and its features grow by `step_features`. Each step keeps its
-    forward pass, which `compute_advantages` and `batch_gradients` reuse, so
-    they must be given these same `params` (the parameters are frozen within
-    a batch).
-    """
-    env.initial_state(learner, hop_budget)  # rejects a non-learner start and an empty budget
-    x = start_features(env.embeddings, learner, env.history_len)
-    current = learner
-    steps: list[EpisodeStep] = []
-    hops = []
-    entropy_sum = 0.0
-    for _ in range(hop_budget):
-        aset = env.action_set(current)
-        probs, logp, h = policy_forward(params, x, aset.matrix)
-        k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        k = min(k, len(probs) - 1)
-        steps.append(EpisodeStep(x, aset.matrix, k, probs, logp, h))
-        entropy_sum -= float(np.sum(probs * logp))
-        action = aset.actions[k]
-        hops.append(action)
-        current = action[1]  # action 0 is the self-loop, whose tail is `current`
-        if len(steps) < hop_budget:
-            x = step_features(
-                x[None], aset.matrix[k : k + 1], np.array([k == 0]), env.history_len
-            )[0]
-    path = Path(learner, tuple(hops))
-    return Episode(learner, path, steps, reward(path, spec), entropy_sum / hop_budget)
+
+def _batch_hops(episodes: list[Episode]) -> list[Hop]:
+    """The episodes' hops with walk i in row i: those they were sampled in,
+    when they are that whole batch in order, else their rows gathered."""
+    hops = episodes[0].hops
+    if [ep.row for ep in episodes] == list(range(len(hops[0].chosen))) and all(
+        ep.hops is hops for ep in episodes
+    ):
+        return hops
+    gathered = []
+    for t in range(len(hops)):
+        rows = [(ep.hops[t], ep.row) for ep in episodes]
+        sizes = np.array([h.sizes[i] for h, i in rows])
+        segments = [slice(h.starts[i], h.starts[i] + h.sizes[i]) for h, i in rows]
+        gathered.append(Hop(
+            np.array([h.features[i] for h, i in rows]),
+            np.array([h.hidden[i] for h, i in rows]),
+            [h.matrices[i] for h, i in rows],
+            np.concatenate([h.probs[s] for (h, _i), s in zip(rows, segments)]),
+            np.concatenate([h.log_probs[s] for (h, _i), s in zip(rows, segments)]),
+            sizes,
+            np.cumsum(sizes) - sizes,
+            np.repeat(np.arange(len(rows)), sizes),
+            np.array([h.entropy[i] for h, i in rows]),
+            np.array([h.chosen[i] for h, i in rows]),
+        ))
+    return gathered
 
 
 def compute_advantages(
     params: dict[str, np.ndarray], episodes: list[Episode], gamma: float
-) -> list[list[float]]:
-    """Return G_t = gamma^(T-t) * reward minus baseline b_t, per step.
+) -> np.ndarray:
+    """Return G_t = gamma^(T-t) * reward minus baseline b_t, one row per
+    episode and one column per step.
 
-    The baseline head is read from `params` and applied to each step's stored
-    hidden layer, which must come from the `w1`/`b1` of these `params`. It is
-    evaluated here only: `batch_gradients` reuses G_t - b_t as its error.
+    The baseline head is read from `params` and applied to each hop's stored
+    hidden layers, one product per hop; they must come from the `w1`/`b1` of
+    these `params`. It is evaluated here only: `batch_gradients` reuses
+    G_t - b_t as its error.
     """
-    return [
-        [gamma ** (len(ep.steps) - 1 - t) * ep.reward - baseline(params, s.hidden)
-         for t, s in enumerate(ep.steps)]
-        for ep in episodes
-    ]
+    hops = _batch_hops(episodes)
+    rewards = np.array([ep.reward for ep in episodes])
+    return np.column_stack([
+        gamma ** (len(hops) - 1 - t) * rewards - baseline(params, hop.hidden)
+        for t, hop in enumerate(hops)
+    ])
 
 
 def batch_gradients(
     params: dict[str, np.ndarray],
     episodes: list[Episode],
-    advantages: list[list[float]],
+    advantages: np.ndarray,
     entropy_weight: float,
 ) -> dict[str, np.ndarray]:
     """Gradient of the objective ascended by one update, w.r.t. every parameter.
@@ -261,38 +347,29 @@ def batch_gradients(
     The objective, with advantages held constant, is
     sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2.
 
-    Each step's forward pass is the one stored when it was sampled, so the
-    steps must come from `sample_episode` at these `w1`, `b1` and `proj`. The
-    advantages must be `compute_advantages` at these `params`: each one,
-    G_t - b_t, is also the baseline's error. The gradient w.r.t. the logits stays
-    per step, because action sets differ in size. What the steps share
-    (inputs, hidden states, dL/d[rel ; tail] and the baseline error) is
-    stacked for up to GRAD_BLOCK steps, and each parameter gradient of a block
-    is one matrix product.
+    Each hop's forward pass is the one stored when it was sampled, so the
+    episodes must come from `sample_episodes` at these `w1`, `b1` and `proj`.
+    The advantages must be `compute_advantages` at these `params`: each one,
+    G_t - b_t, is also the baseline's error. Each hop is one gradient block:
+    the logit gradients are one array over the episodes' segments, and only
+    dL/d[rel ; tail] takes a product per episode, with its action matrix.
     """
     grads = {key: np.zeros_like(arr) for key, arr in params.items()}
-    steps = [
-        (step, adv) for ep, advs in zip(episodes, advantages) for step, adv in zip(ep.steps, advs)
-    ]
-    for start in range(0, len(steps), GRAD_BLOCK):
-        block = steps[start : start + GRAD_BLOCK]
-        X = np.array([step.features for step, _adv in block])
-        H = np.array([step.hidden for step, _adv in block])
-        dbase = np.array([adv for _step, adv in block])  # G_t - b_t
-        ATD = np.empty((len(block), params["proj"].shape[1]))
-        for i, (step, adv) in enumerate(block):
-            probs, logp = step.probs, step.log_probs
-            entropy = -float(np.sum(probs * logp))
-            dlogits = -adv * probs
-            dlogits[step.chosen] += adv
-            dlogits += entropy_weight * (-probs * (logp + entropy))
-            ATD[i] = step.action_matrix.T @ dlogits
-        dh_pre = (ATD @ params["proj"].T + dbase[:, None] * params["v_w"]) * (1.0 - H * H)
-        grads["w1"] += dh_pre.T @ X
+    for hop, adv in zip(_batch_hops(episodes), np.asarray(advantages, dtype=float).T):
+        probs, seg = hop.probs, hop.seg
+        dlogits = -adv[seg] * probs
+        dlogits[hop.starts + hop.chosen] += adv
+        dlogits += entropy_weight * (-probs * (hop.log_probs + hop.entropy[seg]))
+        ATD = np.array([
+            m.T @ dlogits[s : s + len(m)] for m, s in zip(hop.matrices, hop.starts.tolist())
+        ])
+        H = hop.hidden
+        dh_pre = (ATD @ params["proj"].T + adv[:, None] * params["v_w"]) * (1.0 - H * H)
+        grads["w1"] += dh_pre.T @ hop.features
         grads["b1"] += dh_pre.sum(axis=0)
         grads["proj"] += H.T @ ATD
-        grads["v_w"] += dbase @ H
-        grads["v_b"][0] += dbase.sum()
+        grads["v_w"] += adv @ H
+        grads["v_b"][0] += adv.sum()
     return grads
 
 
@@ -343,31 +420,32 @@ def train_agent(
     cfg: AgentConfig,
     spec: RewardSpec,
 ) -> tuple[dict[str, np.ndarray], TrainingLog]:
-    """Epochs x learners x episodes REINFORCE loop, deterministic per seed."""
+    """Epochs x learners x episodes REINFORCE loop, deterministic per seed.
+
+    Each batch is one `sample_episodes` call and one update. Episode j of a
+    learner draws from a generator seeded by (seed, epoch, learner, j), so
+    the paths do not depend on the batch size.
+    """
     cfg.validate()
+    learners = kg_train.learners()
+    if not learners:
+        raise DataError("training graph has no learners")
     params = init_policy(embeddings.d, cfg)
     env = PathEnv(kg_train, embeddings, cfg.max_actions, cfg.history)
     opt = Adam(cfg.learning_rate)
     budget = cfg.hop_budget()
     log = TrainingLog()
-    learners = kg_train.learners()
+    walks = [(learner, j) for learner in learners for j in range(cfg.episodes_per_learner)]
     for epoch in range(1, cfg.epochs + 1):
-        buffer: list[Episode] = []
-        rewards: list[float] = []
-        entropies: list[float] = []
-        for learner in learners:
-            for j in range(cfg.episodes_per_learner):
-                rng = np.random.default_rng([cfg.seed, epoch, learner.index, j])
-                ep = sample_episode(learner, env, params, spec, budget, rng)
-                buffer.append(ep)
-                rewards.append(ep.reward)
-                entropies.append(ep.entropy)
-                if len(buffer) >= cfg.batch_episodes:
-                    params, _ = reinforce_update(buffer, params, opt, cfg)
-                    buffer = []
-        if buffer:
+        episodes: list[Episode] = []
+        for start in range(0, len(walks), cfg.batch_episodes):
+            batch = walks[start : start + cfg.batch_episodes]
+            rngs = [np.random.default_rng([cfg.seed, epoch, u.index, j]) for u, j in batch]
+            buffer = sample_episodes([u for u, _j in batch], env, params, spec, budget, rngs)
             params, _ = reinforce_update(buffer, params, opt, cfg)
-        log.append(epoch, float(np.mean(rewards)), float(np.mean(entropies)))
+            episodes += buffer
+        log.append(epoch, float(np.mean([ep.reward for ep in episodes])),
+                   float(np.mean([ep.entropy for ep in episodes])))
     return params, log
 
 

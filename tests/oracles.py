@@ -6,25 +6,27 @@ and policy gradients with central finite differences (embedding gradients
 also on one tensor per entity type and relation, with `np.add.at` scatters
 and per-tensor Adam; policy gradients also with a per-step loop of outer
 products, and advantages with a fresh forward pass per step), rollouts
-against a walk through `PathEnv.step`, beam results against exhaustive
+against a walk through `PathEnv.step`, agent training against a loop of
+those walks and per-step updates, beam results against exhaustive
 action-sequence enumeration and against a beam search that expands every
 prefix on its own, and candidate ranking against a dict of each course's
 best (Path, score) pair.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from pathrec.embeddings import (
     RELATIONS, _canonical_triples, batch_loss_and_grads, draw_negatives, init_embeddings,
 )
-from pathrec.environment import Path, reward
+from pathrec.environment import Path, PathEnv, reward
 from pathrec.errors import DivergenceError
 from pathrec.inference import RecommendationList, RecommendedItem
 from pathrec.kg import KnowledgeGraph
 from pathrec.optim import Adam, softplus, stable_sigmoid
-from pathrec.policy import baseline, feature_size, policy_forward
+from pathrec.policy import baseline, feature_size, init_policy, policy_forward
 from pathrec.schema import ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, relation_types
 
 
@@ -316,6 +318,47 @@ def reference_episode(learner, env, params, spec, hop_budget, rng):
         state = env.step(state, action)
     path = Path(learner, tuple(hops))
     return path, reward(path, spec), features
+
+
+def reference_train_agent(kg, table, cfg, spec):
+    """`train_agent` one episode at a time: each walk by `reference_episode`,
+    each batch's update by `reference_advantages`, `reference_batch_gradients`
+    and an Adam step. Returns (params, per-epoch mean reward, sampled paths)."""
+    params = init_policy(table.d, cfg)
+    env = PathEnv(kg, table, cfg.max_actions, cfg.history)
+    opt = Adam(cfg.learning_rate)
+    budget = cfg.hop_budget()
+
+    def update(params, episodes):
+        advantages = reference_advantages(params, episodes, cfg.gamma)
+        grads = reference_batch_gradients(
+            params, episodes, advantages, cfg.entropy_weight, cfg.gamma
+        )
+        return opt.step(params, {key: -g for key, g in grads.items()})
+
+    mean_rewards, paths = [], []
+    for epoch in range(1, cfg.epochs + 1):
+        buffer, rewards = [], []
+        for learner in kg.learners():
+            for j in range(cfg.episodes_per_learner):
+                rng = np.random.default_rng([cfg.seed, epoch, learner.index, j])
+                path, r, features = reference_episode(learner, env, params, spec, budget, rng)
+                steps, current = [], learner
+                for x, action in zip(features, path.hops):
+                    aset = env.action_set(current)
+                    steps.append(SimpleNamespace(
+                        features=x, action_matrix=aset.matrix, chosen=aset.index[action]
+                    ))
+                    current = action[1]
+                buffer.append(SimpleNamespace(steps=steps, reward=r))
+                rewards.append(r)
+                paths.append(path)
+                if len(buffer) == cfg.batch_episodes:
+                    params, buffer = update(params, buffer), []
+        if buffer:
+            params = update(params, buffer)
+        mean_rewards.append(float(np.mean(rewards)))
+    return params, mean_rewards, paths
 
 
 def reference_beam_search(learner, env, params, beam_widths):

@@ -20,7 +20,7 @@ from pathrec.inference import (
     recommend_all,
     write_recommendations,
 )
-from pathrec.policy import AgentConfig, action_queries, init_policy, policy_forward
+from pathrec.policy import AgentConfig, hop_forward, init_policy, policy_forward
 from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
@@ -214,11 +214,11 @@ class TestBeamSearch:
         kg, env, params = synth_setup(history)
         calls = []
 
-        def counting_queries(params, features):
+        def counting_forward(params, features, matrices):
             calls.append(features.shape[0])
-            return action_queries(params, features)
+            return hop_forward(params, features, matrices)
 
-        monkeypatch.setattr(inference, "action_queries", counting_queries)
+        monkeypatch.setattr(inference, "hop_forward", counting_forward)
         monkeypatch.setattr(inference, "policy_forward", None)  # not used by the beam
         beam_search(kg.learners()[0], env, params, FIVE_HOPS)
         assert len(calls) == len(FIVE_HOPS)
@@ -229,11 +229,11 @@ class TestBeamSearch:
         learner = kg.learners()[0]
         rows = []
 
-        def counting_queries(params, features):
+        def counting_forward(params, features, matrices):
             rows.append(features.shape[0])
-            return action_queries(params, features)
+            return hop_forward(params, features, matrices)
 
-        monkeypatch.setattr(inference, "action_queries", counting_queries)
+        monkeypatch.setattr(inference, "hop_forward", counting_forward)
         paths = beam_search(learner, env, params, FIVE_HOPS)
         # every prefix keeps at least its self-loop, so the prefixes of level
         # k are exactly the distinct k-hop heads of the returned paths

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,20 +10,21 @@ import pathrec.policy as policy_module
 from pathrec.embeddings import EmbedConfig, init_embeddings
 from pathrec.environment import PathEnv, RewardSpec
 from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
+from pathrec.kg import filter_learners
 from pathrec.optim import Adam
 from pathrec.policy import (
-    GRAD_BLOCK,
     AgentConfig,
-    action_queries,
     baseline,
     batch_gradients,
     compute_advantages,
     feature_size,
+    hop_forward,
     init_policy,
     load_policy,
     policy_forward,
     reinforce_update,
     sample_episode,
+    sample_episodes,
     save_policy,
     start_features,
     step_features,
@@ -34,7 +36,7 @@ from pathrec.synthetic import SynthConfig, generate
 from conftest import flip_bit, make_tiny_kg, put_bad_byte
 from oracles import (
     fd_policy_gradient_error, reference_advantages, reference_batch_gradients,
-    reference_episode, state_features,
+    reference_episode, reference_train_agent, state_features,
 )
 
 TRAIN = {0: frozenset({0, 1, 2}), 1: frozenset({0, 1}), 2: frozenset({2, 3}), 3: frozenset({4})}
@@ -152,19 +154,43 @@ class TestPolicyForward:
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) <= 1e-9
 
-    def test_action_queries_give_each_states_logits(self):
+    def test_hop_forward_rows_equal_policy_forward(self):
         d, hidden = 5, 16
         params = init_policy(d, AgentConfig(hidden=hidden, seed=4))
         params["b1"] = np.random.default_rng(2).normal(size=hidden)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(9, feature_size(d, 1)))
-        a = rng.normal(size=(6, 2 * d))
-        queries = action_queries(params, X)
-        assert queries.shape == (9, 2 * d)
-        for x, q in zip(X, queries):
-            _p, logp, _h = policy_forward(params, x, a)
-            logits = a @ q
-            np.testing.assert_allclose(logits - logits.max(), logp - logp.max(), rtol=0, atol=1e-12)
+        # segments of 1 to 12 rows: short ones and ones long enough for numpy's
+        # pairwise sums, so the segment sums add in another order than `exp.sum()`
+        matrices = [rng.normal(size=(n, 2 * d)) for n in (6, 1, 12, 3, 9, 2, 1, 10, 4)]
+        hop = hop_forward(params, X, matrices)
+        assert hop.starts.tolist() == np.cumsum([0, 6, 1, 12, 3, 9, 2, 1, 10]).tolist()
+        assert hop.seg.tolist() == np.repeat(np.arange(9), [len(m) for m in matrices]).tolist()
+        assert hop.chosen is None
+        for i, (x, a) in enumerate(zip(X, matrices)):
+            probs, logp, h = policy_forward(params, x, a)
+            rows = slice(hop.starts[i], hop.starts[i] + len(a))
+            np.testing.assert_allclose(hop.hidden[i], h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hop.probs[rows], probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hop.log_probs[rows], logp, rtol=0, atol=1e-12)
+            assert hop.entropy[i] == pytest.approx(-np.sum(probs * logp), rel=0, abs=1e-12)
+        np.testing.assert_array_equal(hop.features, X)
+
+
+def walk_setup(graph, history):
+    """A graph, its environment, a policy and the binary reward of its enrollments."""
+    if graph == "tiny":
+        kg = make_tiny_kg()
+    else:
+        kg = generate(SynthConfig(n_learners=10, n_courses=16, n_teachers=3, n_categories=2,
+                                  n_concepts=4, n_clusters=2, seed=4))
+    env = PathEnv(kg, init_embeddings(kg, EmbedConfig(d=3, seed=2)), history_len=history)
+    params = init_policy(3, AgentConfig(hidden=8, history=history, seed=1))
+    train: dict[int, set[int]] = {}
+    for u, c in kg.edges["enrolled"]:
+        train.setdefault(u, set()).add(c)
+    spec = RewardSpec("binary", {u: frozenset(cs) for u, cs in train.items()})
+    return kg, env, params, spec
 
 
 class TestSampleEpisode:
@@ -194,17 +220,7 @@ class TestSampleEpisode:
     @pytest.mark.parametrize("graph", ["tiny", "generated"])
     @pytest.mark.parametrize("history", [0, 1, 2])
     def test_walk_equals_a_replay_through_env_step(self, graph, history):
-        if graph == "tiny":
-            kg = make_tiny_kg()
-        else:
-            kg = generate(SynthConfig(n_learners=10, n_courses=16, n_teachers=3, n_categories=2,
-                                      n_concepts=4, n_clusters=2, seed=4))
-        env = PathEnv(kg, init_embeddings(kg, EmbedConfig(d=3, seed=2)), history_len=history)
-        params = init_policy(3, AgentConfig(hidden=8, history=history, seed=1))
-        train: dict[int, set[int]] = {}
-        for u, c in kg.edges["enrolled"]:
-            train.setdefault(u, set()).add(c)
-        spec = RewardSpec("binary", {u: frozenset(cs) for u, cs in train.items()})
+        kg, env, params, spec = walk_setup(graph, history)
         for learner in kg.learners():
             for j in range(4):
                 ep = sample_episode(learner, env, params, spec, 4, np.random.default_rng(j))
@@ -222,26 +238,62 @@ class TestSampleEpisode:
             sample_episode(EntityRef("learner", 0), env, params, BINARY, 0,
                            np.random.default_rng(0))
 
+    def test_empty_batch_rejected(self):
+        env = tiny_env()
+        params = init_policy(4, AgentConfig(hidden=8, seed=0))
+        with pytest.raises(ValueError, match="empty episode batch"):
+            sample_episodes([], env, params, BINARY, 4, [])
 
-def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6):
+    @pytest.mark.parametrize("graph", ["tiny", "generated"])
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_a_walk_is_the_same_alone_and_in_any_batch(self, graph, history):
+        kg, env, params, spec = walk_setup(graph, history)
+        walks = [(u, j) for u in kg.learners() for j in range(3)]
+        alone = [
+            sample_episode(u, env, params, spec, 4, np.random.default_rng([9, u.index, j]))
+            for u, j in walks
+        ]
+        for order in (walks, walks[::-1], walks[1::2]):
+            batch = sample_episodes(
+                [u for u, _j in order], env, params, spec, 4,
+                [np.random.default_rng([9, u.index, j]) for u, j in order],
+            )
+            for i, ep in enumerate(batch):
+                want = alone[walks.index(order[i])]
+                assert ep.path == want.path and ep.reward == want.reward
+                assert ep.row == i and len(ep.hops) == 4
+                for got, one in zip(ep.hops, want.hops):
+                    rows = slice(got.starts[i], got.starts[i] + len(got.matrices[i]))
+                    assert got.chosen[i] == one.chosen[0]
+                    assert got.features[i].tobytes() == one.features[0].tobytes()
+                    np.testing.assert_allclose(got.hidden[i], one.hidden[0], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got.probs[rows], one.probs, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        got.log_probs[rows], one.log_probs, rtol=0, atol=1e-12
+                    )
+
+
+def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6, lockstep=False):
+    """Episodes sampled one by one, so that an update gathers them hop by hop,
+    or (lockstep) as one batch, whose hops an update reads as they are."""
     env = tiny_env(d=d, seed=seed)
     params = init_policy(d, AgentConfig(hidden=hidden, seed=seed))
-    episodes = [
-        sample_episode(EntityRef("learner", i % 4), env, params, BINARY, 4,
-                       np.random.default_rng(100 + i))
-        for i in range(n_episodes)
+    learners = [EntityRef("learner", i % 4) for i in range(n_episodes)]
+    rngs = [np.random.default_rng(100 + i) for i in range(n_episodes)]
+    if lockstep:
+        return params, sample_episodes(learners, env, params, BINARY, 4, rngs)
+    return params, [
+        sample_episode(learner, env, params, BINARY, 4, rng) for learner, rng in zip(learners, rngs)
     ]
-    return params, episodes
 
 
-def blocked_batch():
-    """A frozen batch longer than one gradient block, with varied advantages."""
-    params, episodes = frozen_batch(d=4, n_episodes=GRAD_BLOCK // 4 + 17, hidden=8)
+def varied_batch(lockstep=False):
+    """A frozen batch of 81 episodes with varied advantages."""
+    params, episodes = frozen_batch(d=4, n_episodes=81, hidden=8, lockstep=lockstep)
     rng = np.random.default_rng(7)
     params["v_w"] = rng.normal(scale=0.5, size=params["v_w"].shape)
     for ep in episodes:
         ep.reward = float(rng.random())
-    assert sum(len(ep.steps) for ep in episodes) > GRAD_BLOCK
     return params, episodes, compute_advantages(params, episodes, gamma=0.9)
 
 
@@ -274,25 +326,33 @@ class TestReinforceUpdate:
         assert err <= 1e-3
 
     def test_gradient_matches_per_step_oracle(self):
-        params, episodes, advantages = blocked_batch()
-        got = batch_gradients(params, episodes, advantages, 0.05)
-        want = reference_batch_gradients(params, episodes, advantages, 0.05, 0.9)
-        for key in params:
-            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
+        for lockstep in (False, True):
+            params, episodes, advantages = varied_batch(lockstep)
+            got = batch_gradients(params, episodes, advantages, 0.05)
+            want = reference_batch_gradients(params, episodes, advantages, 0.05, 0.9)
+            for key in params:
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
 
     def test_advantages_equal_fresh_forward_oracle(self):
-        params, episodes, advantages = blocked_batch()
-        assert advantages == reference_advantages(params, episodes, gamma=0.9)
+        # the baseline is one product per hop, `H @ v_w`, and the stored hidden
+        # layers a matrix product, so they agree with a one-state pass by rounding
+        for lockstep in (False, True):
+            params, episodes, advantages = varied_batch(lockstep)
+            want = reference_advantages(params, episodes, gamma=0.9)
+            assert advantages.shape == (81, 4)
+            np.testing.assert_allclose(advantages, want, rtol=0, atol=1e-12)
 
     def test_gradient_is_additive_over_episodes(self):
-        params, episodes, advantages = blocked_batch()
-        whole = batch_gradients(params, episodes, advantages, 0.05)
-        half = len(episodes) // 2 + 1  # so the halves' block boundaries differ from the whole's
-        first = batch_gradients(params, episodes[:half], advantages[:half], 0.05)
-        second = batch_gradients(params, episodes[half:], advantages[half:], 0.05)
-        for key in params:
-            np.testing.assert_allclose(whole[key], first[key] + second[key], rtol=1e-12,
-                                       atol=0, err_msg=key)
+        # the halves of a lockstep batch are gathered from its hops, the whole is read as it is
+        for lockstep in (False, True):
+            params, episodes, advantages = varied_batch(lockstep)
+            whole = batch_gradients(params, episodes, advantages, 0.05)
+            half = len(episodes) // 2 + 1
+            first = batch_gradients(params, episodes[:half], advantages[:half], 0.05)
+            second = batch_gradients(params, episodes[half:], advantages[half:], 0.05)
+            for key in params:
+                np.testing.assert_allclose(whole[key], first[key] + second[key], rtol=1e-12,
+                                           atol=0, err_msg=key)
 
     def test_zero_learning_rate_keeps_params(self):
         params, episodes = frozen_batch()
@@ -356,6 +416,61 @@ class TestTrainAgent:
         with pytest.raises(ConfigError):
             train_agent(kg, table, AgentConfig(max_hops_eval=2), BINARY)
 
+    @pytest.mark.parametrize("setting", [
+        {"epochs": 2.0}, {"episodes_per_learner": 2.5}, {"hidden": 8.0}, {"batch_episodes": 6.0},
+        {"max_actions": 250.0}, {"history": 1.0}, {"max_hops_eval": 3.0}, {"seed": 0.5},
+        {"hidden": "8"}, {"history": True}, {"seed": -1},
+    ])
+    def test_bad_count_or_seed_is_config_error(self, setting):
+        kg, table = self._setup()
+        cfg = AgentConfig(**{"epochs": 1, "hidden": 8, **setting})
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            train_agent(kg, table, cfg, BINARY)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        kg, table = self._setup()
+        cfg = AgentConfig(epochs=np.int64(1), hidden=np.int32(8), batch_episodes=np.int64(6))
+        _params, log = train_agent(kg, table, cfg, BINARY)
+        assert log.epochs == [1]
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_graph_without_learners_is_data_error(self, epochs):
+        kg = filter_learners(make_tiny_kg(), 1000)
+        assert kg.learners() == []
+        table = init_embeddings(kg, EmbedConfig(d=4, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice"
+            with pytest.raises(DataError, match="no learners"):
+                train_agent(kg, table, AgentConfig(epochs=epochs, hidden=8), BINARY)
+
+    @pytest.mark.parametrize("graph", ["tiny", "generated"])
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_equals_the_per_episode_trainer(self, monkeypatch, graph, history):
+        kg, env, _params, spec = walk_setup(graph, history)
+        # 3 episodes per learner in batches of 7: batches cross learners, and
+        # the last batch of an epoch is short
+        cfg = AgentConfig(epochs=3, hidden=8, history=history, episodes_per_learner=3,
+                          batch_episodes=7, entropy_weight=0.05, seed=3)
+        sampled = []
+        real = policy_module.sample_episodes
+
+        def recording(*args):
+            episodes = real(*args)
+            sampled.extend(ep.path for ep in episodes)
+            return episodes
+
+        monkeypatch.setattr(policy_module, "sample_episodes", recording)
+        params, log = train_agent(kg, env.embeddings, cfg, spec)
+        want_params, want_rewards, want_paths = reference_train_agent(kg, env.embeddings, cfg, spec)
+        assert sampled == want_paths
+        assert log.mean_reward == want_rewards
+        assert any(r > 0 for r in want_rewards)
+        for key in params:
+            np.testing.assert_allclose(params[key], want_params[key], rtol=0, atol=1e-12,
+                                       err_msg=key)
+
     def test_log_csv(self, tmp_path):
         kg, table = self._setup()
         _params, log = train_agent(
@@ -369,51 +484,58 @@ class TestTrainAgent:
 
 
 class TestSinglePass:
-    """Training runs the policy forward and the baseline head once per step:
-    the rollout's pass is stored in the step, and the update reads it back."""
+    """Training runs the policy forward and the baseline head once per hop of
+    a batch: the rollout stores each hop's pass, and the update reads it back."""
 
-    def test_one_forward_pass_per_training_step(self, monkeypatch):
+    def _setup(self):
         kg = make_tiny_kg()
         table = init_embeddings(kg, EmbedConfig(d=4, seed=1))
-        cfg = AgentConfig(epochs=3, hidden=8, batch_episodes=6, seed=2)
+        # 8 episodes an epoch in batches of 6: two batches an epoch
+        return kg, table, AgentConfig(epochs=3, hidden=8, batch_episodes=6, seed=2)
+
+    def test_one_forward_pass_per_hop_of_a_batch(self, monkeypatch):
+        kg, table, cfg = self._setup()
         calls = []
-        real = policy_module.policy_forward
+        real = policy_module.hop_forward
 
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
+        def counting(params, features, matrices):
+            calls.append(len(features))
+            return real(params, features, matrices)
 
-        monkeypatch.setattr(policy_module, "policy_forward", counting)
+        def forbidden(*args):
+            raise AssertionError("training ran the one-state policy_forward")
+
+        monkeypatch.setattr(policy_module, "hop_forward", counting)
+        monkeypatch.setattr(policy_module, "policy_forward", forbidden)
         train_agent(kg, table, cfg, BINARY)
-        steps = cfg.epochs * len(kg.learners()) * cfg.episodes_per_learner * cfg.hop_budget()
-        assert len(calls) == steps
+        assert calls == ([6] * cfg.hop_budget() + [2] * cfg.hop_budget()) * cfg.epochs
 
-    def test_one_baseline_evaluation_per_training_step(self, monkeypatch):
-        kg = make_tiny_kg()
-        table = init_embeddings(kg, EmbedConfig(d=4, seed=1))
-        cfg = AgentConfig(epochs=3, hidden=8, batch_episodes=6, seed=2)
+    def test_one_baseline_product_per_hop_of_a_batch(self, monkeypatch):
+        kg, table, cfg = self._setup()
         calls = []
         real = policy_module.baseline
 
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
+        def counting(params, hidden):
+            calls.append(hidden.shape)
+            return real(params, hidden)
 
         monkeypatch.setattr(policy_module, "baseline", counting)
         train_agent(kg, table, cfg, BINARY)
-        steps = cfg.epochs * len(kg.learners()) * cfg.episodes_per_learner * cfg.hop_budget()
-        assert len(calls) == steps
+        batches = [(6, cfg.hidden)] * cfg.hop_budget() + [(2, cfg.hidden)] * cfg.hop_budget()
+        assert calls == batches * cfg.epochs
 
     def test_update_makes_no_forward_pass(self, monkeypatch):
-        params, episodes, _ = blocked_batch()
+        batches = [varied_batch(lockstep) for lockstep in (False, True)]
 
         def forbidden(*args):
-            raise AssertionError("the update ran policy_forward")
+            raise AssertionError("the update ran a forward pass")
 
         monkeypatch.setattr(policy_module, "policy_forward", forbidden)
-        advantages = compute_advantages(params, episodes, gamma=0.9)
-        batch_gradients(params, episodes, advantages, 0.05)
-        reinforce_update(episodes, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
+        monkeypatch.setattr(policy_module, "hop_forward", forbidden)
+        for params, episodes, _ in batches:
+            advantages = compute_advantages(params, episodes, gamma=0.9)
+            batch_gradients(params, episodes, advantages, 0.05)
+            reinforce_update(episodes, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
 
     @pytest.mark.parametrize("history", [0, 1, 2])
     def test_stored_forward_equals_a_fresh_one_at_every_update(self, monkeypatch, history):
@@ -426,12 +548,19 @@ class TestSinglePass:
         updates = []
 
         def checking(episodes, params, opt, cfg):
-            for ep in episodes:
-                for step in ep.steps:
-                    probs, logp, h = policy_forward(params, step.features, step.action_matrix)
-                    assert step.probs.tobytes() == probs.tobytes()
-                    assert step.log_probs.tobytes() == logp.tobytes()
-                    assert step.hidden.tobytes() == h.tobytes()
+            hops = episodes[0].hops
+            assert all(ep.hops is hops for ep in episodes)
+            assert [ep.row for ep in episodes] == list(range(len(episodes)))
+            for hop in hops:
+                fresh = hop_forward(params, hop.features, hop.matrices)
+                for name in ("hidden", "probs", "log_probs", "starts", "seg", "entropy"):
+                    assert getattr(hop, name).tobytes() == getattr(fresh, name).tobytes(), name
+                for i, (x, matrix) in enumerate(zip(hop.features, hop.matrices)):
+                    probs, logp, h = policy_forward(params, x, matrix)
+                    rows = slice(hop.starts[i], hop.starts[i] + len(matrix))
+                    np.testing.assert_allclose(hop.probs[rows], probs, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(hop.log_probs[rows], logp, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(hop.hidden[i], h, rtol=0, atol=1e-12)
             updates.append(len(episodes))
             return real(episodes, params, opt, cfg)
 
@@ -493,6 +622,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old, new", [
         (b'"gamma": 1.0', b'"gamma": 9.0'),
         (b'"hidden": 8', b'"hidden": 0'),
+        (b'"hidden": 8', b'"hidden": 8.0'),
+        (b'"episodes_per_learner": 2', b'"episodes_per_learner": 2.5'),
         (b'"d": 4', b'"d": 0'),
         (b'"d": 4', b'"d": -4'),
     ])
