@@ -9,6 +9,7 @@ tails corrupted uniformly within their entity type.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -46,6 +47,12 @@ class EmbedConfig:
     optimizer: str = "adam"
 
     def validate(self) -> None:
+        counts = (self.d, self.epochs, self.negatives_per_positive, self.batch_size, self.seed)
+        # a float count passes the range checks below, then fails as a bare TypeError
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
+            raise ConfigError("count and seed settings must be integers")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.d <= 0:
             raise ConfigError("embedding dimension d must be positive")
         if not self.learning_rate >= 0:  # also rejects NaN

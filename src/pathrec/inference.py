@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Action, Path, PathEnv
+from .environment import Action, ActionSet, Path, PathEnv
 from .errors import ConfigError, DataError, atomic_write, open_text
 from .kg import KnowledgeGraph
 # `policy_forward` is not called here, but it stays bound as `inference.policy_forward`:
@@ -48,28 +48,34 @@ class RecommendationList:
 
 
 class Beam:
-    """The final prefixes of one beam search, as a sequence of (Path, score) pairs.
+    """The final prefixes of one learner's beam search, as a sequence of (Path, score) pairs.
 
     A prefix is stored as back-pointers: each level holds every prefix's
-    parent prefix and kept slot, and the kept slots' hops. `acc` holds the
-    prefixes' path log-probabilities and `final_course` each prefix's
-    terminal course index, or -1 where it ends on another entity type, so a
-    ranker reads both without building a `Path`. `paths` builds the `Path`s
-    of chosen prefixes; indexing and iteration go through it.
+    parent prefix and the integer id of its last hop, which `action_of` turns
+    back into an `Action`. A search over a block of learners shares its
+    levels between their beams; this learner's final prefixes are those from
+    `first` on in the last level. `acc` holds their path log-probabilities
+    and `final_course` their terminal course index, or -1 where a prefix ends
+    on another entity type, so a ranker reads both without building a
+    `Path`. `paths` builds the `Path`s of chosen prefixes; indexing and
+    iteration go through it.
     """
 
     def __init__(
         self,
         learner: EntityRef,
-        levels: list[tuple[np.ndarray, np.ndarray, list[Action]]],
+        levels: list[tuple[np.ndarray, np.ndarray]],
+        action_of: Callable[[int], Action],
         acc: np.ndarray,
+        final_course: np.ndarray,
+        first: int,
     ):
         self.learner = learner
         self.levels = levels
+        self.action_of = action_of
         self.acc = acc
-        _parent, slot, hops = levels[-1]
-        slot_course = [ent.index if ent.entity_type == "course" else -1 for _rel, ent in hops]
-        self.final_course = np.array(slot_course, dtype=np.intp)[slot]
+        self.final_course = final_course
+        self.first = first
 
     def __len__(self) -> int:
         return len(self.acc)
@@ -83,12 +89,151 @@ class Beam:
 
     def paths(self, indices) -> list[Path]:
         """The `Path`s of the given prefixes, walking the levels back column by column."""
-        prefix = np.asarray(indices, dtype=np.intp)
+        prefix = self.first + np.asarray(indices, dtype=np.intp)
         columns = []
-        for parent, slot, hops in reversed(self.levels):
-            columns.append(list(map(hops.__getitem__, slot[prefix].tolist())))
+        for parent, hop in reversed(self.levels):
+            columns.append(list(map(self.action_of, hop[prefix].tolist())))
             prefix = parent[prefix]
         return [Path(self.learner, hops) for hops in zip(*reversed(columns))]
+
+
+def _expand(
+    params: dict[str, np.ndarray], features: np.ndarray, asets: list[ActionSet],
+    runs: np.ndarray, width: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score a level's states, run r of runs[r] states over asets[r], and keep
+    each state's `width` most probable actions, best first.
+
+    Returns each state's number of kept actions, and each kept action's state,
+    slot in its action set and log-probability. The states' -log_probs are
+    sorted in rows padded with +inf; the sort is stable, so ties keep action
+    order.
+    """
+    hop = hop_forward(params, features, [aset.matrix for aset in asets], runs)
+    sizes, starts, seg = hop.sizes, hop.starts, hop.seg
+    padded = np.full((len(sizes), sizes.max()), np.inf)
+    padded[seg, np.arange(len(seg)) - starts[seg]] = -hop.log_probs
+    top = np.argsort(padded, axis=1, kind="stable")[:, :width]
+    n_kept = np.minimum(sizes, width)
+    kept_state = np.repeat(np.arange(len(sizes)), n_kept)
+    kept_slot = top[np.arange(top.shape[1]) < n_kept[:, None]]
+    return n_kept, kept_state, kept_slot, hop.log_probs[starts[kept_state] + kept_slot]
+
+
+def _child_states(
+    env: PathEnv, key: np.ndarray, features: np.ndarray, kept_state: np.ndarray,
+    kept_slot: np.ndarray, kept_id: np.ndarray, kept_tail: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states the kept actions enter: each kept action's child state, and
+    the children's key rows and features.
+
+    Equal keys are one state, and sorting the keys puts the children in
+    entity order.
+    """
+    n_hist = env.history_len
+    child = np.column_stack([kept_tail, key[kept_state, 1], kept_id, key[kept_state, 2:-1]])
+    child = child[:, : 2 + n_hist]
+    order = np.lexsort(child.T[::-1])
+    child = child[order]
+    new = np.concatenate(([True], (child[1:] != child[:-1]).any(axis=1)))
+    child_of = np.empty(len(order), dtype=np.intp)
+    child_of[order] = np.cumsum(new) - 1
+    first = order[new]  # each child's first kept action
+    self_loop = kept_slot[first] == 0  # slot 0 of every action set is the self-loop
+    rows = env.action_rows(kept_id[first])
+    return child_of, child[new], step_features(features, kept_state[first], rows, self_loop, n_hist)
+
+
+# learners per level-synchronous search in `recommend_all`. A block's levels
+# are held until it is ranked, and a level's features and hidden layers
+# (8 KB a state at PGPR width) at once, so the block size bounds the search's
+# memory: at 4, its tracemalloc peak on the benchmark workloads is at most
+# 1.4 MB above that of searching one learner at a time.
+BLOCK_LEARNERS = 4
+
+
+def search_block(
+    learners: list[EntityRef],
+    env: PathEnv,
+    params: dict[str, np.ndarray],
+    beam_widths: tuple[int, ...],
+) -> list[Beam]:
+    """Each learner's `beam_search`, run level-synchronously over all of them.
+
+    At level k each surviving prefix keeps its beam_widths[k] most probable
+    actions (ties broken by action order, so runs are reproducible). The
+    policy sees only the learner, the current entity and the history, so a
+    level is expanded once per distinct (entity, learner, history) state.
+    States are integer rows (entity id, learner position, the last H action
+    ids), kept in entity order: the states on one entity form a run that
+    `hop_forward` scores with one product against the entity's action matrix.
+    Each state keeps its top actions once, and every prefix grows by its
+    state's kept actions, in prefix order. Prefixes are learner-major, so
+    each learner's `Beam` is a contiguous view of the block's levels. As a
+    sequence it is that of expanding each of the learner's prefixes on its
+    own, in the same order, with the same paths; the scores agree with it to
+    within rounding, not bit for bit, because the matrix products and the
+    segment sums of the softmax add in another order than one state's
+    `policy_forward` does.
+    """
+    if any(w < 1 for w in beam_widths):
+        raise ConfigError("beam widths must be >= 1")
+    for learner in learners:
+        env.initial_state(learner, len(beam_widths))  # rejects a non-learner and no widths
+    if not learners:
+        return []
+    n_hist = env.history_len
+    # each state's key row: entity id, learner position, the last n_hist
+    # action ids (-1 before the first hop); the rows are kept sorted
+    key = np.full((len(learners), 2 + n_hist), -1, dtype=np.intp)
+    key[:, 0] = [env.entity_id(u) for u in learners]
+    key[:, 1] = np.arange(len(learners))
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    features = np.array([
+        start_features(env.embeddings, learners[b], n_hist) for b in order.tolist()
+    ])
+    state_of = np.argsort(order)  # each prefix's state; prefix b is learner b's
+    acc = np.zeros(len(learners))
+    levels = []  # per level: each prefix's parent prefix and last hop's action id
+    for level, width in enumerate(beam_widths):
+        entity = key[:, 0]
+        run_start = np.flatnonzero(np.concatenate(([True], entity[1:] != entity[:-1])))
+        runs = np.concatenate((run_start[1:], [len(entity)])) - run_start
+        asets = env.action_sets(entity[run_start].tolist())
+        n_kept, kept_state, kept_slot, kept_lp = _expand(params, features, asets, runs, width)
+        # the kept actions' ids and tails, gathered from the runs' action sets
+        set_sizes = np.array([len(aset.actions) for aset in asets])
+        at = np.repeat(np.cumsum(set_sizes) - set_sizes, runs)[kept_state] + kept_slot
+        kept_id = np.concatenate([aset.action_ids for aset in asets])[at]
+        kept_tail = np.concatenate([aset.tails for aset in asets])[at]
+
+        # every prefix grows by its state's kept actions, in prefix order
+        offsets = np.cumsum(n_kept) - n_kept  # each state's first kept action
+        n_grown = n_kept[state_of]
+        parent = np.repeat(np.arange(len(state_of)), n_grown)
+        slot = np.repeat(offsets[state_of] - (np.cumsum(n_grown) - n_grown), n_grown)
+        slot += np.arange(len(parent))
+        acc = acc[parent] + kept_lp[slot]
+        levels.append((parent, kept_id[slot]))
+        if level + 1 == len(beam_widths):
+            break
+
+        child_of, key, features = _child_states(
+            env, key, features, kept_state, kept_slot, kept_id, kept_tail,
+        )
+        state_of = child_of[slot]
+
+    final_course = env.course_index(kept_tail[slot])
+    # prefixes are learner-major: learner b's are those of its level-0 prefix b
+    owner = np.arange(len(learners))
+    for parent, _hop in levels:
+        owner = owner[parent]
+    bounds = np.searchsorted(owner, np.arange(len(learners) + 1)).tolist()
+    return [
+        Beam(u, levels, env.action, acc[a:b], final_course[a:b], a)
+        for u, a, b in zip(learners, bounds, bounds[1:])
+    ]
 
 
 def beam_search(
@@ -97,77 +242,9 @@ def beam_search(
     params: dict[str, np.ndarray],
     beam_widths: tuple[int, ...],
 ) -> Beam:
-    """All completed budget-length paths surviving per-level truncation.
-
-    At level k each surviving prefix keeps its beam_widths[k] most probable
-    actions (ties broken by action order, so runs are reproducible). The
-    policy sees only the current entity and the history, so a level is
-    expanded once per distinct (current, history) state: the states' hidden
-    layers are one matrix product, and each state scores its action set and
-    keeps its top actions once. Prefixes are index arrays (state, parent,
-    kept slot) and the path log-probabilities a float64 array grown in the
-    per-prefix order; the returned `Beam` keeps them and builds `Path`s on
-    demand. As a sequence it is that of expanding every prefix on its own,
-    in the same order, with the same paths; the scores agree with it to
-    within rounding, not bit for bit, because the matrix product and the
-    segment sums of the softmax add in another order than one state's
-    `policy_forward` does.
-    """
-    if any(w < 1 for w in beam_widths):
-        raise ConfigError("beam widths must be >= 1")
-    env.initial_state(learner, len(beam_widths))  # rejects a non-learner start and no widths
-    n_hist = env.history_len
-    keys: list[tuple[EntityRef, tuple[Action, ...]]] = [(learner, ())]
-    features = start_features(env.embeddings, learner, n_hist)[None, :]
-    state_of = np.zeros(1, dtype=np.intp)  # each prefix's row in keys and features
-    acc = np.zeros(1)
-    levels = []  # per level: each prefix's parent prefix and kept slot, and the slots' hops
-    for level, width in enumerate(beam_widths):
-        # score every state's action set, as segments of one array of logits
-        asets = [env.action_set(current) for current, _history in keys]
-        hop = hop_forward(params, features, [aset.matrix for aset in asets])
-        log_probs, sizes, seg_start, seg = hop.log_probs, hop.sizes, hop.starts, hop.seg
-        # each state's top `width` rows: the sort keeps every state's rows in its
-        # own segment, and lexsort is stable, so ties keep action order
-        order = np.lexsort((-log_probs, seg))
-        kept = order[np.arange(len(order)) - seg_start[seg] < width]
-        kept_state = seg[kept]
-        kept_action = kept - seg_start[kept_state]
-        n_kept = np.minimum(sizes, width)
-        offsets = np.cumsum(n_kept) - n_kept  # each state's first kept slot
-        hops = [asets[s].actions[i] for s, i in zip(kept_state.tolist(), kept_action.tolist())]
-
-        # every prefix grows by its state's kept actions, in prefix order
-        n_grown = n_kept[state_of]
-        parent = np.repeat(np.arange(len(state_of)), n_grown)
-        block_start = np.cumsum(n_grown) - n_grown
-        slot = np.repeat(offsets[state_of] - block_start, n_grown) + np.arange(len(parent))
-        acc = acc[parent] + log_probs[kept][slot]
-        levels.append((parent, slot, hops))
-        if level + 1 == len(beam_widths):
-            break
-
-        # the child state each kept action enters; equal children are one state
-        child_index: dict[tuple[EntityRef, tuple[Action, ...]], int] = {}
-        child_of: list[int] = []
-        first: list[int] = []  # child state -> the kept slot that first enters it
-        for j, (s, action) in enumerate(zip(kept_state.tolist(), hops)):
-            key = (action[1], (action, *keys[s][1])[:n_hist])
-            c = child_index.get(key)
-            if c is None:
-                c = child_index[key] = len(first)
-                first.append(j)
-            child_of.append(c)
-        state_of = np.asarray(child_of, dtype=np.intp)[slot]
-        first_slot = np.asarray(first, dtype=np.intp)
-        source = kept_state[first_slot]
-        rows = np.array([
-            asets[s].matrix[i] for s, i in zip(source.tolist(), kept_action[first_slot].tolist())
-        ])
-        self_loop = np.array([hops[j][0] == SELF_LOOP for j in first], dtype=bool)
-        features = step_features(features[source], rows, self_loop, n_hist)
-        keys = list(child_index)
-    return Beam(learner, levels, acc)
+    """All completed budget-length paths surviving per-level truncation: the
+    one-learner case of `search_block`."""
+    return search_block([learner], env, params, beam_widths)[0]
 
 
 def rank_candidates(
@@ -207,15 +284,20 @@ def recommend_all(
     beam_widths: tuple[int, ...],
     n: int = 10,
 ) -> tuple[dict[int, RecommendationList], float]:
-    """Per-learner lists plus the fraction of learners with short lists."""
-    lists: dict[int, RecommendationList] = {}
-    invalid = 0
-    for learner in learners:
-        beam = beam_search(learner, env, params, beam_widths)
-        rec = rank_candidates(beam, learner, train_sets.get(learner.index, frozenset()), n)
-        lists[learner.index] = rec
-        invalid += 0 if rec.is_valid else 1
-    return lists, invalid / len(learners) if learners else 0.0
+    """Per-learner lists plus the fraction of learners with short lists.
+
+    The learners are searched in blocks of `BLOCK_LEARNERS`, and each block's
+    beams are ranked and released before the next block starts.
+    """
+    recs: list[RecommendationList] = []
+    for start in range(0, len(learners), BLOCK_LEARNERS):
+        block = learners[start : start + BLOCK_LEARNERS]
+        recs += [
+            rank_candidates(beam, u, train_sets.get(u.index, frozenset()), n)
+            for u, beam in zip(block, search_block(block, env, params, beam_widths))
+        ]
+    invalid = sum(1 for rec in recs if not rec.is_valid)
+    return {rec.learner.index: rec for rec in recs}, invalid / len(learners) if learners else 0.0
 
 
 # -- recommendation file I/O ----------------------------------------------

@@ -118,24 +118,26 @@ def start_features(table: EmbeddingTable, learner: EntityRef, history: int) -> n
 
 
 def step_features(
-    features: np.ndarray, action_rows: np.ndarray, self_loop: np.ndarray, history: int
+    features: np.ndarray, source: np.ndarray, action_rows: np.ndarray, self_loop: np.ndarray,
+    history: int,
 ) -> np.ndarray:
-    """Features of the states one action on from the states of `features`.
+    """Features of the states one action on from states of `features`.
 
     Row i takes the action whose `ActionSet.matrix` row is action_rows[i] from
-    the state whose features are features[i]; the bool array self_loop marks
-    the rows that take the self-loop. Both callers step a stack of states:
-    `sample_episodes` its batch of walks, `beam_search` a level's distinct
-    states. Each value is copied, or is v_start minus the new v_current, so a
-    walk's features are the same bit for bit in any stack.
+    the state whose features are features[source[i]]; the bool array
+    self_loop marks the rows that take the self-loop. Both callers step a
+    stack of states: `sample_episodes` its batch of walks, `search_block` a
+    level's distinct states. Only the columns a step keeps are gathered from
+    `features`. Each value is copied, or is v_start minus the new v_current,
+    so a walk's features are the same bit for bit in any stack.
     """
     d = action_rows.shape[1] // 2
-    start, tail = features[:, :d], action_rows[:, d:]
+    start, tail = features[source, :d], action_rows[:, d:]
     # one concatenate instead of a slice assignment per block: a batch makes
     # this call once per hop, where numpy's per-call overhead is the cost
     blocks = [start, tail, start - tail]
     if history:
-        blocks += [action_rows, features[:, 3 * d : -2 * d]]
+        blocks += [action_rows, features[source, 3 * d : -2 * d]]
     out = np.concatenate(blocks, axis=1)
     if history:
         out[self_loop, 4 * d : 5 * d] = 0.0
@@ -171,15 +173,19 @@ def baseline(params: dict[str, np.ndarray], hidden: np.ndarray):
 class Hop:
     """`hop_forward` of a stack of states, and the action each walk took.
 
-    State i has features[i], hidden layer hidden[i] and action matrix
-    matrices[i]; its distribution is the segment of `probs` and `log_probs`
-    of sizes[i] rows from starts[i] (seg[r] is the state of row r), with
-    entropy entropy[i]. `sample_episodes` sets chosen[i], the row walk i took.
+    State i has features[i] and hidden layer hidden[i]. The states come in
+    runs that share an action matrix: run r is runs[r] consecutive states
+    over matrices[r]. Training's hops have runs of one, so there matrices[i]
+    is walk i's. State i's distribution is the segment of `probs` and
+    `log_probs` of sizes[i] rows from starts[i] (seg[r] is the state of row
+    r), with entropy entropy[i]. `sample_episodes` sets chosen[i], the row
+    walk i took.
     """
 
     features: np.ndarray
     hidden: np.ndarray
     matrices: list[np.ndarray]
+    runs: np.ndarray
     probs: np.ndarray
     log_probs: np.ndarray
     sizes: np.ndarray
@@ -190,27 +196,41 @@ class Hop:
 
 
 def hop_forward(
-    params: dict[str, np.ndarray], features: np.ndarray, matrices: list[np.ndarray]
+    params: dict[str, np.ndarray], features: np.ndarray, matrices: list[np.ndarray],
+    runs: np.ndarray,
 ) -> Hop:
-    """`policy_forward` of each row of `features`, row i over the actions of matrices[i].
+    """`policy_forward` of each row of `features`, the runs[r] rows of run r
+    over the actions of matrices[r].
 
     The hidden layers and their queries `hidden @ proj` are one matrix product
-    each, and the distributions segments of one logit array. They agree with
+    each, a run's logits `queries[a:b] @ matrix.T` one more, and the
+    distributions segments of one logit array. They agree with
     `policy_forward` to within rounding, not bit for bit: the products and
-    the segment sums add in another order.
+    the segment sums add in another order. A run of one state scores its
+    actions as `matrix @ query` does, bit for bit.
     """
-    hidden = np.tanh(features @ params["w1"].T + params["b1"])
+    hidden = features @ params["w1"].T
+    hidden += params["b1"]
+    np.tanh(hidden, out=hidden)
     queries = hidden @ params["proj"]
-    logits = np.concatenate([m @ q for m, q in zip(matrices, queries)])
-    sizes = np.array([len(m) for m in matrices])
+    ends = np.cumsum(runs)
+    # a run of one takes the matrix-vector product: the same bits as the
+    # one-row matrix product, at less per-call cost
+    logits = np.concatenate([
+        m @ queries[a] if b - a == 1 else (queries[a:b] @ m.T).ravel()
+        for m, a, b in zip(matrices, (ends - runs).tolist(), ends.tolist())
+    ])
+    sizes = np.repeat([len(m) for m in matrices], runs)
     starts = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(len(matrices)), sizes)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
     shifted = logits - np.maximum.reduceat(logits, starts)[seg]
     exp = np.exp(shifted)
     z = np.add.reduceat(exp, starts)
     probs, log_probs = exp / z[seg], shifted - np.log(z)[seg]
     entropy = -np.add.reduceat(probs * log_probs, starts)
-    return Hop(features, hidden, matrices, probs, log_probs, sizes, starts, seg, entropy)
+    return Hop(
+        features, hidden, matrices, runs, probs, log_probs, sizes, starts, seg, entropy,
+    )
 
 
 class Step(NamedTuple):
@@ -258,7 +278,7 @@ def sample_episodes(
     hops, taken = [], []
     for t in range(hop_budget):
         asets = [env.action_set(entity) for entity in current]
-        hop = hop_forward(params, x, [aset.matrix for aset in asets])
+        hop = hop_forward(params, x, [aset.matrix for aset in asets], np.ones(len(asets), int))
         # a zero-padded row per walk: its running sums are those of its segment
         padded = np.zeros((len(hop.sizes), hop.sizes.max()))
         padded[hop.seg, np.arange(len(hop.probs)) - hop.starts[hop.seg]] = hop.probs
@@ -272,7 +292,7 @@ def sample_episodes(
         current = [tail for _rel, tail in actions]  # action 0 is the self-loop, onto `current`
         if t + 1 < hop_budget:
             rows = np.array([m[k] for m, k in zip(hop.matrices, chosen)])
-            x = step_features(x, rows, hop.chosen == 0, env.history_len)
+            x = step_features(x, np.arange(len(x)), rows, hop.chosen == 0, env.history_len)
     entropy = sum(hop.entropy for hop in hops) / hop_budget
     paths = [Path(u, walk) for u, walk in zip(learners, zip(*taken))]
     return [
@@ -306,6 +326,7 @@ def _batch_hops(episodes: list[Episode]) -> list[Hop]:
             np.array([h.features[i] for h, i in rows]),
             np.array([h.hidden[i] for h, i in rows]),
             [h.matrices[i] for h, i in rows],
+            np.ones(len(rows), dtype=int),
             np.concatenate([h.probs[s] for (h, _i), s in zip(rows, segments)]),
             np.concatenate([h.log_probs[s] for (h, _i), s in zip(rows, segments)]),
             sizes,

@@ -9,8 +9,8 @@ products, and advantages with a fresh forward pass per step), rollouts
 against a walk through `PathEnv.step`, agent training against a loop of
 those walks and per-step updates, beam results against exhaustive
 action-sequence enumeration and against a beam search that expands every
-prefix on its own, and candidate ranking against a dict of each course's
-best (Path, score) pair.
+prefix on its own, candidate ranking against a dict of each course's
+best (Path, score) pair, and action-set matrices against a row-by-row build.
 """
 
 import math
@@ -359,6 +359,17 @@ def reference_train_agent(kg, table, cfg, spec):
             params = update(params, buffer)
         mean_rewards.append(float(np.mean(rewards)))
     return params, mean_rewards, paths
+
+
+def reference_action_matrix(table, actions):
+    """`ActionSet.matrix` filled one row at a time: [relation feature vector ;
+    tail vector] per action."""
+    d = table.d
+    matrix = np.empty((len(actions), 2 * d))
+    for i, (rel, tail) in enumerate(actions):
+        matrix[i, :d] = table.feature_relation_vector(rel)
+        matrix[i, d:] = table.vector(tail)
+    return matrix
 
 
 def reference_beam_search(learner, env, params, beam_widths):

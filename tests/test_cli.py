@@ -187,6 +187,8 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("mf.learning_rate = -0.05", ()),
     ("mf.learning_rate = nan", ()),
     ("filter.min_enrollments = -1", ()),
+    ("embed.d = 8.0", ()),
+    ("embed.epochs = 1.5", ()),
 ])
 def test_out_of_range_setting_exits_2(tmp_path, capsys, line, args):
     # without the range checks these end in a NaN policy, a traceback or a

@@ -76,6 +76,24 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_embeddings(tiny_kg, EmbedConfig(d=0))
 
+    @pytest.mark.parametrize("setting", [
+        {"d": 8.0}, {"epochs": 2.0}, {"negatives_per_positive": 2.0}, {"batch_size": 16.0},
+        {"seed": 0.5}, {"d": "8"}, {"d": True}, {"epochs": False}, {"seed": -1},
+    ])
+    def test_bad_count_or_seed_is_config_error(self, tiny_kg, setting):
+        # without the check a float count fails as a bare TypeError and a
+        # negative seed as numpy's ValueError
+        cfg = EmbedConfig(**{"d": 8, "epochs": 1, "batch_size": 16, **setting})
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            train_embeddings(tiny_kg, cfg)
+
+    def test_numpy_integer_counts_are_accepted(self, tiny_kg):
+        cfg = EmbedConfig(d=np.int64(4), epochs=np.int32(1), batch_size=np.int64(16), seed=0)
+        _table, losses = train_embeddings(tiny_kg, cfg)
+        assert len(losses) == 1
+
 
 class TestScore:
     def test_hand_dot_product(self):

@@ -12,8 +12,10 @@ from pathrec.environment import (
 from pathrec.errors import ConfigError, DataError
 from pathrec.kg import KnowledgeGraph
 from pathrec.schema import SELF_LOOP, EntityRef
+from pathrec.synthetic import SynthConfig, generate
 
-from conftest import put_bad_byte
+from conftest import make_tiny_kg, put_bad_byte
+from oracles import reference_action_matrix
 
 L = lambda i: EntityRef("learner", i)
 C = lambda i: EntityRef("course", i)
@@ -116,6 +118,50 @@ class TestActions:
                 tiny_env.step(state, action)
             actions = tiny_env.actions(state)
             state = tiny_env.step(state, actions[min(1, len(actions) - 1)])
+
+
+class TestActionIds:
+    @pytest.mark.parametrize("graph", ["tiny", "school", "generated"])
+    @pytest.mark.parametrize("max_actions", [250, 3])
+    def test_action_sets_equal_the_row_by_row_build(self, graph, max_actions):
+        if graph == "generated":
+            kg = generate(SynthConfig(n_learners=12, n_courses=15, n_teachers=3, n_categories=2,
+                                      n_concepts=5, n_clusters=2))
+        else:
+            kg = make_tiny_kg(with_school=graph == "school")
+        table = init_embeddings(kg, EmbedConfig(d=5, seed=3))
+        env = PathEnv(kg, table, max_actions=max_actions, history_len=1)
+        action_of_id = {}
+        for etype, raws in kg.vocab.items():
+            for index in range(len(raws)):
+                entity = EntityRef(etype, index)
+                aset = env.action_set(entity)
+                assert aset.actions[0] == (SELF_LOOP, entity)
+                assert len(aset.actions) <= 1 + max_actions
+                assert np.array_equal(aset.matrix, reference_action_matrix(table, aset.actions))
+                assert np.array_equal(env.action_rows(aset.action_ids), aset.matrix)
+                assert [env.action(i) for i in aset.action_ids.tolist()] == list(aset.actions)
+                assert [env.entity(t) for t in aset.tails.tolist()] == [
+                    tail for _rel, tail in aset.actions
+                ]
+                assert env.entity_id(entity) == aset.tails[0]
+                for i, action in zip(aset.action_ids.tolist(), aset.actions):
+                    assert action_of_id.setdefault(i, action) == action
+        # equal ids are equal actions, and equal actions equal ids
+        assert len(set(action_of_id.values())) == len(action_of_id)
+
+    def test_unknown_entity_has_no_id_or_action_set(self, tiny_env):
+        # learner 4 is one past the last learner: its id would alias teacher 0's
+        tiny_env.action_set(T(0))
+        for ref in (L(4), C(-1), EntityRef("school", 0), EntityRef("planet", 0)):
+            with pytest.raises(KeyError):
+                tiny_env.entity_id(ref)
+            with pytest.raises(KeyError):
+                tiny_env.action_set(ref)
+
+    def test_course_index_of_ids(self, tiny_env):
+        ids = np.array([tiny_env.entity_id(ref) for ref in (C(0), L(1), C(5), T(1))])
+        assert tiny_env.course_index(ids).tolist() == [0, -1, 5, -1]
 
 
 class TestStep:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,15 +69,21 @@ def assert_matches_oracle(got, want):
 
 def beam_of(learner, pairs):
     """A `Beam` holding the given (Path, score) pairs in order, as one chain of
-    back-pointers per path; the paths must have equal hop counts."""
+    back-pointers per path, with hop k of path i numbered k * len(pairs) + i;
+    the paths must have equal hop counts."""
     (n_hops,) = {len(path.hops) for path, _ in pairs}
     chain = np.arange(len(pairs))
     levels = [
-        (chain if k else np.zeros(len(pairs), dtype=np.intp), chain,
-         [path.hops[k] for path, _ in pairs])
+        (chain if k else np.zeros(len(pairs), dtype=np.intp), k * len(pairs) + chain)
         for k in range(n_hops)
     ]
-    return Beam(learner, levels, np.array([score for _, score in pairs], dtype=float))
+    actions = [path.hops[k] for k in range(n_hops) for path, _ in pairs]
+    final_course = np.array([
+        path.final_entity.index if path.final_entity.entity_type == "course" else -1
+        for path, _ in pairs
+    ])
+    scores = np.array([score for _, score in pairs], dtype=float)
+    return Beam(learner, levels, actions.__getitem__, scores, final_course, 0)
 
 
 def assert_same_list(got, want):
@@ -86,11 +93,15 @@ def assert_same_list(got, want):
     ]
 
 
-def synth_setup(history, d=6, hidden=8):
-    """A small generated graph, untrained embeddings and an untrained policy."""
+def synth_setup(history, d=6, hidden=8, isolated=None):
+    """A small generated graph, untrained embeddings and an untrained policy;
+    learner `isolated`, if given, loses its enrollments, so that its only
+    action is the self-loop."""
     kg = generate(SynthConfig(
         n_learners=12, n_courses=15, n_teachers=3, n_categories=2, n_concepts=5, n_clusters=2,
     ))
+    if isolated is not None:
+        kg = kg.replace_enrollments({e for e in kg.edges["enrolled"] if e[0] != isolated})
     table = init_embeddings(kg, EmbedConfig(d=d, seed=2))
     env = PathEnv(kg, table, max_actions=250, history_len=history)
     params = init_policy(d, AgentConfig(hidden=hidden, history=history, seed=3))
@@ -214,9 +225,9 @@ class TestBeamSearch:
         kg, env, params = synth_setup(history)
         calls = []
 
-        def counting_forward(params, features, matrices):
+        def counting_forward(params, features, matrices, runs):
             calls.append(features.shape[0])
-            return hop_forward(params, features, matrices)
+            return hop_forward(params, features, matrices, runs)
 
         monkeypatch.setattr(inference, "hop_forward", counting_forward)
         monkeypatch.setattr(inference, "policy_forward", None)  # not used by the beam
@@ -229,9 +240,9 @@ class TestBeamSearch:
         learner = kg.learners()[0]
         rows = []
 
-        def counting_forward(params, features, matrices):
+        def counting_forward(params, features, matrices, runs):
             rows.append(features.shape[0])
-            return hop_forward(params, features, matrices)
+            return hop_forward(params, features, matrices, runs)
 
         monkeypatch.setattr(inference, "hop_forward", counting_forward)
         paths = beam_search(learner, env, params, FIVE_HOPS)
@@ -414,6 +425,83 @@ class TestRecommendAll:
             assert [i.best_path for i in got.items] == [i.best_path for i in oracle.items]
             for item, want in zip(got.items, oracle.items):
                 assert abs(item.score - want.score) <= BEAM_SCORE_ABS
+
+    @pytest.mark.parametrize("widths", [*BENCHMARK_WIDTHS, FIVE_HOPS])
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_each_list_is_the_same_alone_and_in_any_block(self, monkeypatch, history, widths):
+        # determinism whatever the batch size: learner 5 has only the self-loop,
+        # 0 repeats within a block and 3 across blocks
+        kg, env, params = synth_setup(history, isolated=5)
+        learners = [L(i) for i in (3, 0, 5, 0, 7, 1, 3, 9, 2, 11)]
+        assert len(learners) > inference.BLOCK_LEARNERS
+        assert env.action_set(L(5)).actions == ((SELF_LOOP, L(5)),)
+        train = {u.index: frozenset({u.index % 15, (3 * u.index) % 15}) for u in kg.learners()}
+        alone, oracle = {}, {}
+        for u in set(learners):
+            beam = beam_search(u, env, params, widths)
+            alone[u.index] = rank_candidates(beam, u, train[u.index], 5)
+            pairs = reference_beam_search(u, env, params, widths)
+            oracle[u.index] = reference_rank_candidates(pairs, u, train[u.index], 5)
+        assert alone[5].items == ()
+        for block in (1, 3, inference.BLOCK_LEARNERS, len(learners)):
+            monkeypatch.setattr(inference, "BLOCK_LEARNERS", block)
+            lists, invalid = recommend_all(learners, env, params, train, widths, n=5)
+            assert sorted(lists) == sorted({u.index for u in learners})
+            for u in learners:
+                for want in (alone[u.index], oracle[u.index]):
+                    got = lists[u.index]
+                    assert got.learner == want.learner and got.n == want.n
+                    assert [(i.course, i.best_path) for i in got.items] == [
+                        (i.course, i.best_path) for i in want.items
+                    ]
+                    for item, other in zip(got.items, want.items):
+                        assert abs(item.score - other.score) <= BEAM_SCORE_ABS
+            short = sum(1 for u in learners if not lists[u.index].is_valid)
+            assert invalid == short / len(learners)
+
+    def test_one_forward_pass_per_level_of_each_block(self, monkeypatch):
+        kg, env, params = synth_setup(history=1)
+        learners = kg.learners()[:10]
+        calls = []
+
+        def counting_forward(params, features, matrices, runs):
+            calls.append(features.shape[0])
+            return hop_forward(params, features, matrices, runs)
+
+        monkeypatch.setattr(inference, "hop_forward", counting_forward)
+        recommend_all(learners, env, params, TRAIN, FIVE_HOPS, n=5)
+        size = inference.BLOCK_LEARNERS
+        blocks = [learners[i : i + size] for i in range(0, len(learners), size)]
+        assert len(blocks) > 1
+        assert len(calls) == len(blocks) * len(FIVE_HOPS)
+        # a block's first level has one state per learner
+        assert calls[:: len(FIVE_HOPS)] == [len(block) for block in blocks]
+
+    def test_search_memory_is_bounded_by_the_block(self):
+        # the same two blocks of learners searched once and three times over:
+        # only the block is held at a time, so the peak stays put
+        kg, env, params = synth_setup(history=1, d=16, hidden=32)
+        for ref in list(env.kg._adjacency):
+            env.action_set(ref)  # the cache of action sets is not the search's
+        learners = kg.learners()[: 2 * inference.BLOCK_LEARNERS]
+        peaks = []
+        for repeats in (1, 3):
+            tracemalloc.start()
+            try:
+                recommend_all(learners * repeats, env, params, TRAIN, FIVE_HOPS, n=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_empty_list_and_non_learners(self):
+        kg, env, params = synth_setup(history=1)
+        assert recommend_all([], env, params, TRAIN, FIVE_HOPS) == ({}, 0.0)
+        learners = kg.learners()[: inference.BLOCK_LEARNERS + 2]
+        with pytest.raises(TypeError):
+            recommend_all([*learners, C(1)], env, params, TRAIN, FIVE_HOPS)
+        with pytest.raises(KeyError):
+            recommend_all([*learners, L(99)], env, params, TRAIN, FIVE_HOPS)
 
     def test_invalid_fraction_arithmetic(self):
         _kg, env, params = tiny_setup()

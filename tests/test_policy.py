@@ -95,7 +95,7 @@ class TestStateFeatures:
                 x = state_features(state, env.embeddings, history)
                 for i, action in enumerate(aset.actions):
                     got = step_features(
-                        x[None, :], aset.matrix[[i]], np.array([i == 0]), history
+                        x[None, :], np.array([0]), aset.matrix[[i]], np.array([i == 0]), history
                     )
                     want = state_features(env.step(state, action), env.embeddings, history)
                     np.testing.assert_array_equal(got[0], want)
@@ -163,7 +163,7 @@ class TestPolicyForward:
         # segments of 1 to 12 rows: short ones and ones long enough for numpy's
         # pairwise sums, so the segment sums add in another order than `exp.sum()`
         matrices = [rng.normal(size=(n, 2 * d)) for n in (6, 1, 12, 3, 9, 2, 1, 10, 4)]
-        hop = hop_forward(params, X, matrices)
+        hop = hop_forward(params, X, matrices, np.ones(len(matrices), dtype=int))
         assert hop.starts.tolist() == np.cumsum([0, 6, 1, 12, 3, 9, 2, 1, 10]).tolist()
         assert hop.seg.tolist() == np.repeat(np.arange(9), [len(m) for m in matrices]).tolist()
         assert hop.chosen is None
@@ -175,6 +175,45 @@ class TestPolicyForward:
             np.testing.assert_allclose(hop.log_probs[rows], logp, rtol=0, atol=1e-12)
             assert hop.entropy[i] == pytest.approx(-np.sum(probs * logp), rel=0, abs=1e-12)
         np.testing.assert_array_equal(hop.features, X)
+
+    def test_runs_of_one_score_as_matrix_vector_products(self):
+        # the logits of runs of one are those of `matrix @ query`, bit for bit,
+        # so the distributions are those of that product under hop_forward's
+        # segment softmax
+        d, hidden = 5, 16
+        params = init_policy(d, AgentConfig(hidden=hidden, seed=4))
+        params["b1"] = np.random.default_rng(2).normal(size=hidden)
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            sizes = rng.integers(1, 30, size=int(rng.integers(1, 12)))
+            X = rng.normal(size=(len(sizes), feature_size(d, 1))) * 3
+            matrices = [rng.normal(size=(n, 2 * d)) * 3 for n in sizes]
+            hop = hop_forward(params, X, matrices, np.ones(len(sizes), dtype=int))
+            queries = hop.hidden @ params["proj"]
+            logits = np.concatenate([m @ q for m, q in zip(matrices, queries)])
+            starts = np.cumsum(sizes) - sizes
+            seg = np.repeat(np.arange(len(sizes)), sizes)
+            shifted = logits - np.maximum.reduceat(logits, starts)[seg]
+            z = np.add.reduceat(np.exp(shifted), starts)
+            assert hop.log_probs.tobytes() == (shifted - np.log(z)[seg]).tobytes(), trial
+            assert hop.probs.tobytes() == (np.exp(shifted) / z[seg]).tobytes(), trial
+
+    def test_longer_runs_agree_with_per_state_products(self):
+        d, hidden = 5, 16
+        params = init_policy(d, AgentConfig(hidden=hidden, seed=4))
+        params["b1"] = np.random.default_rng(2).normal(size=hidden)
+        rng = np.random.default_rng(6)
+        runs = np.array([3, 1, 7, 2, 1, 12])
+        X = rng.normal(size=(runs.sum(), feature_size(d, 1))) * 3
+        matrices = [rng.normal(size=(int(rng.integers(1, 25)), 2 * d)) * 3 for _ in runs]
+        got = hop_forward(params, X, matrices, runs)
+        per_state = [m for m, r in zip(matrices, runs) for _ in range(r)]
+        want = hop_forward(params, X, per_state, np.ones(len(per_state), dtype=int))
+        assert got.matrices is matrices and got.runs is runs
+        for name in ("sizes", "starts", "seg", "hidden"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for name in ("probs", "log_probs", "entropy"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
 
 
 def walk_setup(graph, history):
@@ -498,9 +537,9 @@ class TestSinglePass:
         calls = []
         real = policy_module.hop_forward
 
-        def counting(params, features, matrices):
+        def counting(params, features, matrices, runs):
             calls.append(len(features))
-            return real(params, features, matrices)
+            return real(params, features, matrices, runs)
 
         def forbidden(*args):
             raise AssertionError("training ran the one-state policy_forward")
@@ -552,7 +591,7 @@ class TestSinglePass:
             assert all(ep.hops is hops for ep in episodes)
             assert [ep.row for ep in episodes] == list(range(len(episodes)))
             for hop in hops:
-                fresh = hop_forward(params, hop.features, hop.matrices)
+                fresh = hop_forward(params, hop.features, hop.matrices, hop.runs)
                 for name in ("hidden", "probs", "log_probs", "starts", "seg", "entropy"):
                     assert getattr(hop, name).tobytes() == getattr(fresh, name).tobytes(), name
                 for i, (x, matrix) in enumerate(zip(hop.features, hop.matrices)):
