@@ -208,10 +208,10 @@ def train_embeddings(
     triples = _canonical_triples(kg_train)
     if not len(triples):
         raise DataError("training graph has no triples")
-    # W: entity type i's rows from offset[i] on, then the relation rows (both in
+    # W: the entity rows in id order, then the relation rows (both in
     # init_embeddings' order); shift[r] = first rows of r's head and tail types
     W = np.concatenate([*table.entity.values(), [*table.relation.values()]])
-    offset = np.cumsum([0] + [kg_train.n_entities(etype) for etype in ENTITY_TYPES])
+    offset = np.array(kg_train.offsets)
     types = np.array([[ENTITY_TYPES.index(e) for e in relation_types(rel)] for rel in RELATIONS])
     shift, tail_sizes = offset[types], np.diff(offset)[types[:, 1]]
     triples[:, 1:] += shift[triples[:, 0]]

@@ -9,18 +9,14 @@ courses unreachable in an even number of real hops.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, open_text
-from .kg import KnowledgeGraph
-from .schema import ENTITY_TYPES, RELATION_SCHEMA, SELF_LOOP, EntityRef
-
-Action = tuple[str, EntityRef]  # (relation name, tail entity)
+from .kg import Edge as Action, KnowledgeGraph  # Action: (relation name, tail entity)
+from .schema import ACTION_RELATIONS, ENTITY_TYPES, SELF_LOOP, EntityRef
 
 
 @dataclass(frozen=True)
@@ -117,32 +113,23 @@ class ActionSet:
 
     Row i of `matrix` is [relation feature vector ; tail vector] for
     actions[i]; the self_loop row is [zeros ; current entity vector].
-    action_ids[i] and tails[i] are the environment's integer ids of
-    actions[i] and of its tail entity (see `PathEnv`).
+    action_ids[i] is the graph's action id of actions[i] (see
+    `KnowledgeGraph`); the self_loop's is the entity's own id.
     """
 
     actions: tuple[Action, ...]
     matrix: np.ndarray
-    index: dict[Action, int]
     action_ids: np.ndarray
-    tails: np.ndarray
 
 
 class PathEnv:
     """Walks over a fixed graph with embedding-pruned action spaces.
 
     Action sets depend only on the entity being stood on, so they are
-    cached per entity; the environment is read-only and shareable.
-
-    Entities and actions also have integer ids, so that array code can
-    compare them: an entity's id is its index plus its type's offset in
-    `ENTITY_TYPES` order, and the action (relation, tail) has id
-    `relation id * n_ids + tail id`, with relation ids indexing `RELATIONS`.
+    cached per entity id; the environment is read-only and shareable.
     `action` turns the id of an action of a built action set back into
     that set's `Action`, so decoded paths share the sets' tuples.
     """
-
-    RELATIONS = (SELF_LOOP, *sorted(RELATION_SCHEMA))
 
     def __init__(
         self,
@@ -159,28 +146,14 @@ class PathEnv:
         self.embeddings = embeddings
         self.max_actions = max_actions
         self.history_len = history_len
-        self._action_sets: dict[EntityRef, ActionSet] = {}
-        self._action_sets_by_id: dict[int, ActionSet] = {}
+        self._action_sets: dict[int, ActionSet] = {}
         self._actions_by_id: dict[int, Action] = {}
-        self._ends = list(itertools.accumulate(kg.n_entities(t) for t in ENTITY_TYPES))
-        self._offset = dict(zip(ENTITY_TYPES, [0, *self._ends[:-1]]))
-        self.n_ids = self._ends[-1]
-        self._relation_id = {rel: i for i, rel in enumerate(self.RELATIONS)}
         # an action's row is [relation feature vector ; tail vector]: one row per
         # relation id, and one per entity id
         self._relation_rows = np.array([
-            embeddings.feature_relation_vector(rel) for rel in self.RELATIONS
+            embeddings.feature_relation_vector(rel) for rel in ACTION_RELATIONS
         ])
         self._entity_rows = np.concatenate([embeddings.entity[t] for t in ENTITY_TYPES])
-
-    def entity_id(self, ref: EntityRef) -> int:
-        if not self.kg.has_entity(ref):  # an index past its type's would alias another id
-            raise KeyError(f"unknown entity: {ref}")
-        return self._offset[ref.entity_type] + ref.index
-
-    def entity(self, entity_id: int) -> EntityRef:
-        etype = ENTITY_TYPES[bisect.bisect_right(self._ends, entity_id)]
-        return EntityRef(etype, entity_id - self._offset[etype])
 
     def action(self, action_id: int) -> Action:
         return self._actions_by_id[action_id]
@@ -188,13 +161,8 @@ class PathEnv:
     def action_rows(self, action_ids: np.ndarray) -> np.ndarray:
         """The `ActionSet.matrix` rows of the given actions: one gather of
         relation rows and one of tail rows."""
-        rel, tail = np.divmod(action_ids, self.n_ids)
+        rel, tail = np.divmod(action_ids, self.kg.n_ids)
         return np.concatenate([self._relation_rows[rel], self._entity_rows[tail]], axis=1)
-
-    def course_index(self, entity_ids: np.ndarray) -> np.ndarray:
-        """Each id's course index, or -1 where it is not a course."""
-        index = entity_ids - self._offset["course"]
-        return np.where((index >= 0) & (index < self.kg.n_entities("course")), index, -1)
 
     def initial_state(self, learner: EntityRef, hop_budget: int) -> EnvState:
         if learner.entity_type != "learner":
@@ -207,28 +175,24 @@ class PathEnv:
 
     def action_sets(self, entity_ids: list[int]) -> list[ActionSet]:
         """The action sets of the entities with these ids."""
-        cached = self._action_sets_by_id
-        return [cached.get(e) or self.action_set(self.entity(e)) for e in entity_ids]
+        cached = self._action_sets
+        return [cached.get(e) or self.action_set(self.kg.entity_of(e)) for e in entity_ids]
 
     def action_set(self, entity: EntityRef) -> ActionSet:
-        cached = self._action_sets.get(entity)
+        entity_id = self.kg.entity_id(entity)
+        cached = self._action_sets.get(entity_id)
         if cached is not None:
             return cached
-        edges = self.kg.neighbors(entity)
-        kept = []
+        edge_ids = self.kg.edge_ids(entity_id)
+        edges = self.kg.decode(edge_ids)
         if edges:
             scores = self.embeddings.score_edges(entity, edges)
-            kept = [edges[i] for i in np.argsort(-scores, kind="stable")[: self.max_actions]]
-        actions = ((SELF_LOOP, entity), *kept)
-        offset = self._offset
-        tails = np.array([offset[t.entity_type] + t.index for _rel, t in actions], dtype=np.intp)
-        rels = np.array([self._relation_id[rel] for rel, _tail in actions], dtype=np.intp)
-        ids = rels * self.n_ids + tails
-        aset = ActionSet(
-            actions, self.action_rows(ids), {a: i for i, a in enumerate(actions)}, ids, tails,
-        )
+            kept = np.argsort(-scores, kind="stable")[: self.max_actions]
+            edge_ids, edges = edge_ids[kept], [edges[i] for i in kept.tolist()]
+        actions = ((SELF_LOOP, entity), *edges)
+        ids = np.concatenate(([entity_id], edge_ids))  # the self_loop's relation id is 0
+        aset = self._action_sets[entity_id] = ActionSet(actions, self.action_rows(ids), ids)
         self._actions_by_id.update(zip(ids.tolist(), actions))
-        self._action_sets[entity] = self._action_sets_by_id[int(tails[0])] = aset
         return aset
 
     def actions(self, state: EnvState) -> tuple[Action, ...]:
@@ -238,7 +202,7 @@ class PathEnv:
     def step(self, state: EnvState, action: Action) -> EnvState:
         if state.hops_remaining < 1:
             raise ValueError("hop budget exhausted")
-        if self.action_set(state.current).index.get(action) is None:
+        if action not in self.action_set(state.current).actions:
             raise ValueError(f"action {action} not available from {state.current}")
         rel, tail = action
         history = ((rel, tail), *state.history)[: self.history_len]

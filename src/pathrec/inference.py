@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -57,8 +56,8 @@ class Beam:
     `first` on in the last level. `acc` holds their path log-probabilities
     and `final_course` their terminal course index, or -1 where a prefix ends
     on another entity type, so a ranker reads both without building a
-    `Path`. `paths` builds the `Path`s of chosen prefixes; indexing and
-    iteration go through it.
+    `Path`. `paths` builds the `Path`s of chosen prefixes; iteration goes
+    through it.
     """
 
     def __init__(
@@ -79,10 +78,6 @@ class Beam:
 
     def __len__(self) -> int:
         return len(self.acc)
-
-    def __getitem__(self, i: int) -> tuple[Path, float]:
-        i = range(len(self.acc))[operator.index(i)]  # negative from the end; IndexError past it
-        return self.paths([i])[0], float(self.acc[i])
 
     def __iter__(self) -> Iterator[tuple[Path, float]]:
         return zip(self.paths(np.arange(len(self.acc))), self.acc.tolist())
@@ -122,7 +117,7 @@ def _expand(
 
 def _child_states(
     env: PathEnv, key: np.ndarray, features: np.ndarray, kept_state: np.ndarray,
-    kept_slot: np.ndarray, kept_id: np.ndarray, kept_tail: np.ndarray,
+    kept_slot: np.ndarray, kept_id: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The states the kept actions enter: each kept action's child state, and
     the children's key rows and features.
@@ -131,7 +126,8 @@ def _child_states(
     entity order.
     """
     n_hist = env.history_len
-    child = np.column_stack([kept_tail, key[kept_state, 1], kept_id, key[kept_state, 2:-1]])
+    tail = kept_id % env.kg.n_ids
+    child = np.column_stack([tail, key[kept_state, 1], kept_id, key[kept_state, 2:-1]])
     child = child[:, : 2 + n_hist]
     order = np.lexsort(child.T[::-1])
     child = child[order]
@@ -186,7 +182,7 @@ def search_block(
     # each state's key row: entity id, learner position, the last n_hist
     # action ids (-1 before the first hop); the rows are kept sorted
     key = np.full((len(learners), 2 + n_hist), -1, dtype=np.intp)
-    key[:, 0] = [env.entity_id(u) for u in learners]
+    key[:, 0] = [env.kg.entity_id(u) for u in learners]
     key[:, 1] = np.arange(len(learners))
     order = np.lexsort(key.T[::-1])
     key = key[order]
@@ -202,11 +198,10 @@ def search_block(
         runs = np.concatenate((run_start[1:], [len(entity)])) - run_start
         asets = env.action_sets(entity[run_start].tolist())
         n_kept, kept_state, kept_slot, kept_lp = _expand(params, features, asets, runs, width)
-        # the kept actions' ids and tails, gathered from the runs' action sets
+        # the kept actions' ids, gathered from the runs' action sets
         set_sizes = np.array([len(aset.actions) for aset in asets])
         at = np.repeat(np.cumsum(set_sizes) - set_sizes, runs)[kept_state] + kept_slot
         kept_id = np.concatenate([aset.action_ids for aset in asets])[at]
-        kept_tail = np.concatenate([aset.tails for aset in asets])[at]
 
         # every prefix grows by its state's kept actions, in prefix order
         offsets = np.cumsum(n_kept) - n_kept  # each state's first kept action
@@ -219,12 +214,10 @@ def search_block(
         if level + 1 == len(beam_widths):
             break
 
-        child_of, key, features = _child_states(
-            env, key, features, kept_state, kept_slot, kept_id, kept_tail,
-        )
+        child_of, key, features = _child_states(env, key, features, kept_state, kept_slot, kept_id)
         state_of = child_of[slot]
 
-    final_course = env.course_index(kept_tail[slot])
+    final_course = env.kg.course_index(kept_id[slot] % env.kg.n_ids)
     # prefixes are learner-major: learner b's are those of its level-0 prefix b
     owner = np.arange(len(learners))
     for parent, _hop in levels:

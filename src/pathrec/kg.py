@@ -8,6 +8,7 @@ canonical, which makes ingestion and serialization byte-reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -15,10 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError, atomic_write, open_text
 from .schema import (
+    ACTION_RELATIONS,
     ENTITY_TYPES,
     FORWARD_RELATIONS,
     EntityRef,
-    inverse_of,
     relation_types,
 )
 
@@ -34,6 +35,11 @@ class KnowledgeGraph:
     index). `edges` holds forward triples only, as per-relation sets of
     (head index, tail index); inverse triples are implied and materialized
     in the adjacency.
+
+    An entity's id is its index plus `offsets[i]`, the first id of its type
+    ENTITY_TYPES[i]; ids run to `n_ids`. The adjacency is a CSR of each
+    entity's sorted action ids, `relation id * n_ids + tail id` with relation
+    ids indexing ACTION_RELATIONS, which is (relation name, tail index) order.
     """
 
     def __init__(self, vocab: dict[str, list[str]], edges: dict[str, set[tuple[int, int]]]):
@@ -48,27 +54,31 @@ class KnowledgeGraph:
         self._ids = {
             etype: {raw: i for i, raw in enumerate(ids)} for etype, ids in self.vocab.items()
         }
+        self.offsets = np.cumsum([0, *map(len, self.vocab.values())]).tolist()
+        self.n_ids = self.offsets[-1]
+        self._first_id = dict(zip(ENTITY_TYPES, self.offsets))
+        self._indptr, self._edge_ids = self._build_csr()
+
+    def _build_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        n, heads, actions = self.n_ids, [], []
         for rel, pairs in self.edges.items():
             h_type, t_type = relation_types(rel)
-            n_h, n_t = len(self.vocab[h_type]), len(self.vocab[t_type])
-            for h, t in pairs:
-                if not (0 <= h < n_h and 0 <= t < n_t):
-                    raise DataError(f"edge ({h},{t}) of {rel} outside vocabulary")
-        self._adjacency = self._build_adjacency()
-
-    def _build_adjacency(self) -> dict[EntityRef, tuple[Edge, ...]]:
-        adj: dict[EntityRef, list[Edge]] = {}
-        for rel in sorted(self.edges):
-            h_type, t_type = relation_types(rel)
-            inv = inverse_of(rel)
-            for h, t in self.edges[rel]:
-                href, tref = EntityRef(h_type, h), EntityRef(t_type, t)
-                adj.setdefault(href, []).append((rel, tref))
-                adj.setdefault(tref, []).append((inv, href))
-        return {
-            ref: tuple(sorted(items, key=lambda e: (e[0], e[1].index)))
-            for ref, items in adj.items()
-        }
+            try:
+                h, t = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+            except OverflowError:
+                raise DataError(f"an edge of {rel} is outside the vocabulary") from None
+            outside = (h < 0) | (t < 0) | (h >= self.n_entities(h_type))
+            outside |= t >= self.n_entities(t_type)
+            if outside.any():
+                i = int(np.argmax(outside))
+                raise DataError(f"edge ({h[i]},{t[i]}) of {rel} outside vocabulary")
+            r = ACTION_RELATIONS.index(rel)
+            h, t = h + self._first_id[h_type], t + self._first_id[t_type]
+            heads += [h, t]
+            actions += [r * n + t, (r + 1) * n + h]  # the inverse's id is the next one
+        heads, actions = np.concatenate(heads), np.concatenate(actions)
+        order = np.lexsort((actions, heads))
+        return np.searchsorted(heads[order], np.arange(n + 1)), actions[order]
 
     # -- lookups ---------------------------------------------------------
 
@@ -94,25 +104,50 @@ class KnowledgeGraph:
         if not self.has_entity(ref):
             raise KeyError(f"unknown entity: {ref}")
 
+    def entity_id(self, ref: EntityRef) -> int:
+        self._check_ref(ref)  # an index past its type's would alias another id
+        return self._first_id[ref.entity_type] + ref.index
+
+    def entity_of(self, entity_id: int) -> EntityRef:
+        if not 0 <= entity_id < self.n_ids:
+            raise KeyError(f"unknown entity id: {entity_id}")
+        etype = ENTITY_TYPES[bisect.bisect_right(self.offsets, entity_id) - 1]
+        return EntityRef(etype, entity_id - self._first_id[etype])
+
+    def course_index(self, entity_ids: np.ndarray) -> np.ndarray:
+        """Each id's course index, or -1 where it is not a course."""
+        index = entity_ids - self._first_id["course"]
+        return np.where((index >= 0) & (index < len(self.vocab["course"])), index, -1)
+
+    def edge_ids(self, entity_id: int) -> np.ndarray:
+        """The action ids of the entity's edges, in `neighbors` order."""
+        return self._edge_ids[self._indptr[entity_id] : self._indptr[entity_id + 1]]
+
+    def decode(self, action_ids: np.ndarray) -> tuple[Edge, ...]:
+        """The (relation, tail) edge of each action id."""
+        n = self.n_ids
+        return tuple((ACTION_RELATIONS[a // n], self.entity_of(a % n)) for a in action_ids.tolist())
+
     def neighbors(self, ref: EntityRef) -> tuple[Edge, ...]:
         """Outgoing edges of `ref`, sorted by (relation name, tail index).
 
         The stay-in-place self_loop is not part of the adjacency; the path
         environment injects it as an action.
         """
-        self._check_ref(ref)
-        return self._adjacency.get(ref, ())
+        return self.decode(self.edge_ids(self.entity_id(ref)))
 
     def has_triple(self, head: EntityRef, relation: str, tail: EntityRef) -> bool:
-        for rel, other in self._adjacency.get(head, ()):
-            if rel == relation and other == tail:
-                return True
-        return False
+        if not (self.has_entity(head) and self.has_entity(tail) and relation in ACTION_RELATIONS):
+            return False
+        row = self.edge_ids(self.entity_id(head))
+        action = ACTION_RELATIONS.index(relation) * self.n_ids + self.entity_id(tail)
+        i = np.searchsorted(row, action)
+        return bool(i < len(row) and row[i] == action)
 
     def iter_triples(self):
         """Yield every (head, relation, tail), inverses included."""
-        for head, items in self._adjacency.items():
-            for rel, tail in items:
+        for head in map(self.entity_of, range(self.n_ids)):
+            for rel, tail in self.neighbors(head):
                 yield head, rel, tail
 
     @property

@@ -264,20 +264,21 @@ def sample_episodes(
     """Roll a walk from each learner for the full hop budget, all in lockstep.
 
     Walk i draws each action by one `rngs[i].random()` against its cumulative
-    probabilities, so its path does not depend on the batch. Walks step as in
-    `beam_search`. The hops keep their forward pass, which `compute_advantages`
-    and `batch_gradients` reuse, so they must be given these same `params`
-    (the parameters are frozen within a batch).
+    probabilities, so its path does not depend on the batch. Walks step on
+    entity and action ids, as in `search_block`, and each path is decoded
+    once, through `env.action`. The hops keep their forward pass, which
+    `compute_advantages` and `batch_gradients` reuse, so they must be given
+    these same `params` (the parameters are frozen within a batch).
     """
     if not learners:
         raise ValueError("empty episode batch")
     for learner in learners:
         env.initial_state(learner, hop_budget)  # rejects a non-learner start and an empty budget
     x = np.array([start_features(env.embeddings, u, env.history_len) for u in learners])
-    current = list(learners)
+    current = [env.kg.entity_id(u) for u in learners]
     hops, taken = [], []
     for t in range(hop_budget):
-        asets = [env.action_set(entity) for entity in current]
+        asets = env.action_sets(current)
         hop = hop_forward(params, x, [aset.matrix for aset in asets], np.ones(len(asets), int))
         # a zero-padded row per walk: its running sums are those of its segment
         padded = np.zeros((len(hop.sizes), hop.sizes.max()))
@@ -286,15 +287,14 @@ def sample_episodes(
         below = np.count_nonzero(np.cumsum(padded, axis=1) <= draws[:, None], axis=1)
         hop.chosen = np.minimum(below, hop.sizes - 1)
         hops.append(hop)
-        chosen = hop.chosen.tolist()
-        actions = [aset.actions[k] for aset, k in zip(asets, chosen)]
-        taken.append(actions)
-        current = [tail for _rel, tail in actions]  # action 0 is the self-loop, onto `current`
+        action_ids = np.concatenate([aset.action_ids for aset in asets])[hop.starts + hop.chosen]
+        taken.append(action_ids.tolist())
+        current = (action_ids % env.kg.n_ids).tolist()  # the self-loop's tail is the entity
         if t + 1 < hop_budget:
-            rows = np.array([m[k] for m, k in zip(hop.matrices, chosen)])
+            rows = env.action_rows(action_ids)
             x = step_features(x, np.arange(len(x)), rows, hop.chosen == 0, env.history_len)
     entropy = sum(hop.entropy for hop in hops) / hop_budget
-    paths = [Path(u, walk) for u, walk in zip(learners, zip(*taken))]
+    paths = [Path(u, tuple(map(env.action, walk))) for u, walk in zip(learners, zip(*taken))]
     return [
         Episode(path, reward(path, spec), float(entropy[i]), hops, i)
         for i, path in enumerate(paths)

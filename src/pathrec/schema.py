@@ -27,6 +27,11 @@ RELATION_SCHEMA: dict[str, tuple[str, str]] = dict(FORWARD_RELATIONS)
 for _name, (_h, _t) in FORWARD_RELATIONS.items():
     RELATION_SCHEMA[_name + INV_SUFFIX] = (_t, _h)
 
+# relation id -> name, for the graph's edges and the walk's actions: the
+# self_loop is 0, then the names in sorted order, so each forward relation
+# has an odd id and its inverse the next one
+ACTION_RELATIONS = (SELF_LOOP, *sorted(RELATION_SCHEMA))
+
 
 class EntityRef(NamedTuple):
     """One entity, identified by its type and dense index within that type."""

@@ -10,7 +10,8 @@ against a walk through `PathEnv.step`, agent training against a loop of
 those walks and per-step updates, beam results against exhaustive
 action-sequence enumeration and against a beam search that expands every
 prefix on its own, candidate ranking against a dict of each course's
-best (Path, score) pair, and action-set matrices against a row-by-row build.
+best (Path, score) pair, action-set matrices against a row-by-row build,
+and the graph's CSR adjacency against a dict of sorted edge tuples per head.
 """
 
 import math
@@ -27,7 +28,26 @@ from pathrec.inference import RecommendationList, RecommendedItem
 from pathrec.kg import KnowledgeGraph
 from pathrec.optim import Adam, softplus, stable_sigmoid
 from pathrec.policy import baseline, feature_size, init_policy, policy_forward
-from pathrec.schema import ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, relation_types
+from pathrec.schema import (
+    ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, inverse_of, relation_types,
+)
+
+
+def reference_adjacency(kg):
+    """Each head's (relation, tail) edges, inverses included, sorted by
+    (relation name, tail index), built one triple at a time."""
+    adj: dict[EntityRef, list[tuple[str, EntityRef]]] = {}
+    for rel in sorted(kg.edges):
+        h_type, t_type = relation_types(rel)
+        inv = inverse_of(rel)
+        for h, t in kg.edges[rel]:
+            href, tref = EntityRef(h_type, h), EntityRef(t_type, t)
+            adj.setdefault(href, []).append((rel, tref))
+            adj.setdefault(tref, []).append((inv, href))
+    return {
+        ref: tuple(sorted(items, key=lambda e: (e[0], e[1].index)))
+        for ref, items in adj.items()
+    }
 
 
 def metrics_oracle(ranked, relevant, k):
@@ -347,7 +367,7 @@ def reference_train_agent(kg, table, cfg, spec):
                 for x, action in zip(features, path.hops):
                     aset = env.action_set(current)
                     steps.append(SimpleNamespace(
-                        features=x, action_matrix=aset.matrix, chosen=aset.index[action]
+                        features=x, action_matrix=aset.matrix, chosen=aset.actions.index(action)
                     ))
                     current = action[1]
                 buffer.append(SimpleNamespace(steps=steps, reward=r))

@@ -206,7 +206,7 @@ def test_criterion_5_beam_search_oracle():
     params = init_policy(4, AgentConfig(hidden=8, seed=1))
     train = {0: frozenset({0, 1, 2}), 1: frozenset({0, 1}), 2: frozenset({2, 3}),
              3: frozenset({4})}
-    cap = 1 + max(len(kg.neighbors(ref)) for ref in kg._adjacency)
+    cap = 1 + max(len(kg.neighbors(kg.entity_of(e))) for e in range(kg.n_ids))
     start = time.time()
     mismatches = []
     for learner in kg.learners():

@@ -141,10 +141,11 @@ class TestActionIds:
                 assert np.array_equal(aset.matrix, reference_action_matrix(table, aset.actions))
                 assert np.array_equal(env.action_rows(aset.action_ids), aset.matrix)
                 assert [env.action(i) for i in aset.action_ids.tolist()] == list(aset.actions)
-                assert [env.entity(t) for t in aset.tails.tolist()] == [
+                tails = aset.action_ids % kg.n_ids
+                assert [kg.entity_of(t) for t in tails.tolist()] == [
                     tail for _rel, tail in aset.actions
                 ]
-                assert env.entity_id(entity) == aset.tails[0]
+                assert kg.entity_id(entity) == tails[0]
                 for i, action in zip(aset.action_ids.tolist(), aset.actions):
                     assert action_of_id.setdefault(i, action) == action
         # equal ids are equal actions, and equal actions equal ids
@@ -155,13 +156,13 @@ class TestActionIds:
         tiny_env.action_set(T(0))
         for ref in (L(4), C(-1), EntityRef("school", 0), EntityRef("planet", 0)):
             with pytest.raises(KeyError):
-                tiny_env.entity_id(ref)
+                tiny_env.kg.entity_id(ref)
             with pytest.raises(KeyError):
                 tiny_env.action_set(ref)
 
     def test_course_index_of_ids(self, tiny_env):
-        ids = np.array([tiny_env.entity_id(ref) for ref in (C(0), L(1), C(5), T(1))])
-        assert tiny_env.course_index(ids).tolist() == [0, -1, 5, -1]
+        ids = np.array([tiny_env.kg.entity_id(ref) for ref in (C(0), L(1), C(5), T(1))])
+        assert tiny_env.kg.course_index(ids).tolist() == [0, -1, 5, -1]
 
 
 class TestStep:

@@ -150,7 +150,7 @@ class TestBeamSearch:
         _kg, env, params = tiny_setup()
         results = beam_search(L(0), env, params, (1, 1, 1))
         assert len(results) == 1
-        path, logp = results[0]
+        path, logp = list(results)[0]
         # replay greedily and compare
         state = env.initial_state(L(0), 3)
         expected_hops, expected_lp = [], 0.0
@@ -179,7 +179,7 @@ class TestBeamSearch:
 
     def test_full_width_equals_exhaustive_enumeration(self):
         kg, env, params = tiny_setup()
-        cap = 1 + max(len(kg.neighbors(ref)) for ref in env.kg._adjacency)
+        cap = 1 + max(len(kg.neighbors(kg.entity_of(e))) for e in range(kg.n_ids))
         for learner in kg.learners():
             beam = beam_search(learner, env, params, (cap, cap, cap))
             beam_courses = {
@@ -193,7 +193,7 @@ class TestBeamSearch:
 
     def test_equals_per_prefix_reference_on_tiny_graph(self):
         kg, env, params = tiny_setup()
-        cap = 1 + max(len(kg.neighbors(ref)) for ref in env.kg._adjacency)
+        cap = 1 + max(len(kg.neighbors(kg.entity_of(e))) for e in range(kg.n_ids))
         for widths in ((cap, cap, cap), (4, 3, 2), (1, 1, 1)):
             for learner in kg.learners():
                 assert_matches_oracle(
@@ -279,12 +279,6 @@ class TestBeamSearch:
         beam = beam_search(kg.learners()[0], env, params, FIVE_HOPS)
         pairs = list(beam)
         assert len(pairs) == len(beam) > 2
-        for i in (0, 1, len(beam) // 2, len(beam) - 1):
-            assert beam[i] == pairs[i]
-            assert beam[i - len(beam)] == pairs[i]
-        for i in (len(beam), -len(beam) - 1):
-            with pytest.raises(IndexError):
-                beam[i]
         assert beam.final_course.tolist() == [
             path.final_entity.index if path.final_entity.entity_type == "course" else -1
             for path, _ in pairs
@@ -481,8 +475,8 @@ class TestRecommendAll:
         # the same two blocks of learners searched once and three times over:
         # only the block is held at a time, so the peak stays put
         kg, env, params = synth_setup(history=1, d=16, hidden=32)
-        for ref in list(env.kg._adjacency):
-            env.action_set(ref)  # the cache of action sets is not the search's
+        for e in range(kg.n_ids):
+            env.action_set(kg.entity_of(e))  # the cache of action sets is not the search's
         learners = kg.learners()[: 2 * inference.BLOCK_LEARNERS]
         peaks = []
         for repeats in (1, 3):

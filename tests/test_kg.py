@@ -20,9 +20,12 @@ from pathrec.kg import (
     split_enrollments,
     training_graph,
 )
-from pathrec.schema import EntityRef, inverse_of
+from pathrec.schema import (
+    ACTION_RELATIONS, ENTITY_TYPES, FORWARD_RELATIONS, EntityRef, inverse_of, relation_types,
+)
 
 from conftest import flip_bit, make_tiny_kg, put_bad_byte
+from oracles import reference_adjacency
 
 
 def write_tsv(path, rows):
@@ -149,6 +152,67 @@ class TestNeighbors:
         assert orphan.neighbors(EntityRef("teacher", 0)) == ()
         with pytest.raises(KeyError):
             tiny_kg.neighbors(EntityRef("learner", 99))
+
+
+@st.composite
+def random_graphs(draw):
+    """A graph of 0-4 entities per type, with up to 10 edges per relation."""
+    sizes = {etype: draw(st.integers(0, 4)) for etype in ENTITY_TYPES}
+    edges = {}
+    for rel, (h_type, t_type) in FORWARD_RELATIONS.items():
+        if sizes[h_type] and sizes[t_type]:
+            edges[rel] = draw(st.sets(
+                st.tuples(st.integers(0, sizes[h_type] - 1), st.integers(0, sizes[t_type] - 1)),
+                max_size=10,
+            ))
+    vocab = {etype: [f"{etype}{i}" for i in range(n)] for etype, n in sizes.items()}
+    return KnowledgeGraph(vocab, edges)
+
+
+class TestEntityIds:
+    def test_entity_of_rejects_a_negative_id(self, tiny_kg):
+        assert tiny_kg.entity_of(0) == EntityRef("category", 0)
+        with pytest.raises(KeyError):
+            tiny_kg.entity_of(-1)
+
+    def test_entity_of_rejects_the_id_past_the_last(self, tiny_kg):
+        assert tiny_kg.entity_of(tiny_kg.n_ids - 1) == EntityRef("teacher", 1)
+        with pytest.raises(KeyError):
+            tiny_kg.entity_of(tiny_kg.n_ids)
+
+
+class TestCsrAdjacency:
+    @given(random_graphs())
+    @settings(max_examples=40)
+    def test_lookups_equal_the_tuple_adjacency(self, kg):
+        adj = reference_adjacency(kg)
+        entities = [EntityRef(t, i) for t in ENTITY_TYPES for i in range(kg.n_entities(t))]
+        assert [kg.entity_of(kg.entity_id(ref)) for ref in entities] == entities
+        for head in entities:
+            assert kg.neighbors(head) == adj.get(head, ())
+        # tails of every type, and one index past each type's last
+        tails = entities + [EntityRef(t, kg.n_entities(t)) for t in ENTITY_TYPES]
+        for head in entities:
+            edges = set(adj.get(head, ()))
+            for rel in ACTION_RELATIONS:
+                for tail in tails:
+                    assert kg.has_triple(head, rel, tail) == ((rel, tail) in edges)
+        triples = list(kg.iter_triples())
+        assert len(triples) == len(set(triples))
+        assert set(triples) == {(h, rel, t) for h, edges in adj.items() for rel, t in edges}
+
+    @given(
+        random_graphs(), st.sampled_from(sorted(FORWARD_RELATIONS)), st.booleans(),
+        st.sampled_from([-1, -(2**70), 0, 1, 2**64]),
+    )
+    @settings(max_examples=40)
+    def test_edge_outside_the_vocabulary_is_a_data_error(self, kg, rel, on_head, bad):
+        # bad is an offset past the vocabulary's end, or itself when negative
+        h_type, t_type = relation_types(rel)
+        bad = bad if bad < 0 else kg.n_entities(h_type if on_head else t_type) + bad
+        edge = (bad, 0) if on_head else (0, bad)
+        with pytest.raises(DataError, match=rel):
+            KnowledgeGraph(kg.vocab, {**kg.edges, rel: {*kg.edges[rel], edge}})
 
 
 class TestFilterLearners:

@@ -2,8 +2,8 @@
 methods by attribute name. A renamed or dropped attribute would make its
 wrapper fail at install time, or, for an alias such as
 `inference.policy_forward`, silently stop counting calls, so every target
-must still be defined on its owner, and the observers that count beam paths
-must still read what `beam_search` returns."""
+must still be defined on its owner, and each observer must still read what
+its target returns."""
 
 import os
 import sys
@@ -12,9 +12,9 @@ import numpy as np
 from conftest import make_tiny_kg
 
 from pathrec.embeddings import EmbedConfig, init_embeddings
-from pathrec.environment import PathEnv
+from pathrec.environment import PathEnv, RewardSpec
 from pathrec.inference import beam_search
-from pathrec.policy import AgentConfig, init_policy
+from pathrec.policy import AgentConfig, init_policy, sample_episode
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -48,3 +48,22 @@ def test_inference_observers_read_a_real_beam():
     got = observe["rank_candidates"](None, (beam, learner, train, 10), {})
     assert got == np.count_nonzero(unseen)
     assert 0 < got < len(beam.acc)
+
+
+def test_environment_and_rollout_observers_read_real_results():
+    # `environment.mean_action_set` counts an action set's actions, and
+    # `policy.steps` an episode's steps
+    observe = {
+        attr: observer for owner, attr, _layer, _call, _count, observer in tracing.TARGETS
+        if attr in ("action_set", "sample_episode")
+    }
+    kg = make_tiny_kg()
+    env = PathEnv(kg, init_embeddings(kg, EmbedConfig(d=4, seed=1)), 250, 1)
+    params = init_policy(4, AgentConfig(hidden=8, seed=1))
+    learner = kg.learners()[0]
+    aset = env.action_set(learner)
+    assert observe["action_set"](aset, (env, learner), {}) == len(aset.actions) == 4
+    spec = RewardSpec(mode="binary", train_enrollments={0: frozenset({0, 1, 2})})
+    args = (learner, env, params, spec, 4, np.random.default_rng(0))
+    episode = sample_episode(*args)
+    assert observe["sample_episode"](episode, args, {}) == len(episode.path.hops) == 4
