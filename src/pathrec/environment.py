@@ -149,11 +149,12 @@ class PathEnv:
         self._action_sets: dict[int, ActionSet] = {}
         self._actions_by_id: dict[int, Action] = {}
         # an action's row is [relation feature vector ; tail vector]: one row per
-        # relation id, and one per entity id
-        self._relation_rows = np.array([
+        # relation id, and one per entity id (the policy's first-layer tables
+        # read them too)
+        self.relation_rows = np.array([
             embeddings.feature_relation_vector(rel) for rel in ACTION_RELATIONS
         ])
-        self._entity_rows = np.concatenate([embeddings.entity[t] for t in ENTITY_TYPES])
+        self.entity_rows = np.concatenate([embeddings.entity[t] for t in ENTITY_TYPES])
 
     def action(self, action_id: int) -> Action:
         return self._actions_by_id[action_id]
@@ -162,7 +163,7 @@ class PathEnv:
         """The `ActionSet.matrix` rows of the given actions: one gather of
         relation rows and one of tail rows."""
         rel, tail = np.divmod(action_ids, self.kg.n_ids)
-        return np.concatenate([self._relation_rows[rel], self._entity_rows[tail]], axis=1)
+        return np.concatenate([self.relation_rows[rel], self.entity_rows[tail]], axis=1)
 
     def initial_state(self, learner: EntityRef, hop_budget: int) -> EnvState:
         if learner.entity_type != "learner":

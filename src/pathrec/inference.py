@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -17,9 +18,10 @@ import numpy as np
 from .environment import Action, ActionSet, Path, PathEnv
 from .errors import ConfigError, DataError, atomic_write, open_text
 from .kg import KnowledgeGraph
+from .policy import FirstLayer, first_layer_tables, hop_from_preactivation
 # `policy_forward` is not called here, but it stays bound as `inference.policy_forward`:
 # perfbench/tracing.py wraps that attribute by name.
-from .policy import hop_forward, policy_forward, start_features, step_features  # noqa: F401
+from .policy import policy_forward  # noqa: F401
 from .schema import SELF_LOOP, EntityRef, relation_types
 
 DEFAULT_BEAM_WIDTHS = {3: (25, 5, 1), 4: (25, 5, 5, 1), 5: (25, 5, 5, 5, 1)}
@@ -93,18 +95,19 @@ class Beam:
 
 
 def _expand(
-    params: dict[str, np.ndarray], features: np.ndarray, asets: list[ActionSet],
+    params: dict[str, np.ndarray], pre: np.ndarray, asets: list[ActionSet],
     runs: np.ndarray, width: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score a level's states, run r of runs[r] states over asets[r], and keep
-    each state's `width` most probable actions, best first.
+    """Score a level's states from their first-layer pre-activations `pre`,
+    run r of runs[r] states over asets[r], and keep each state's `width` most
+    probable actions, best first.
 
     Returns each state's number of kept actions, and each kept action's state,
     slot in its action set and log-probability. The states' -log_probs are
     sorted in rows padded with +inf; the sort is stable, so ties keep action
     order.
     """
-    hop = hop_forward(params, features, [aset.matrix for aset in asets], runs)
+    hop = hop_from_preactivation(params, pre, [aset.matrix for aset in asets], runs)
     sizes, starts, seg = hop.sizes, hop.starts, hop.seg
     padded = np.full((len(sizes), sizes.max()), np.inf)
     padded[seg, np.arange(len(seg)) - starts[seg]] = -hop.log_probs
@@ -116,35 +119,31 @@ def _expand(
 
 
 def _child_states(
-    env: PathEnv, key: np.ndarray, features: np.ndarray, kept_state: np.ndarray,
-    kept_slot: np.ndarray, kept_id: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    key: np.ndarray, kept_state: np.ndarray, kept_id: np.ndarray, n_ids: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """The states the kept actions enter: each kept action's child state, and
-    the children's key rows and features.
+    the children's key rows.
 
     Equal keys are one state, and sorting the keys puts the children in
     entity order.
     """
-    n_hist = env.history_len
-    tail = kept_id % env.kg.n_ids
+    tail = kept_id % n_ids
     child = np.column_stack([tail, key[kept_state, 1], kept_id, key[kept_state, 2:-1]])
-    child = child[:, : 2 + n_hist]
+    child = child[:, : key.shape[1]]
     order = np.lexsort(child.T[::-1])
     child = child[order]
     new = np.concatenate(([True], (child[1:] != child[:-1]).any(axis=1)))
     child_of = np.empty(len(order), dtype=np.intp)
     child_of[order] = np.cumsum(new) - 1
-    first = order[new]  # each child's first kept action
-    self_loop = kept_slot[first] == 0  # slot 0 of every action set is the self-loop
-    rows = env.action_rows(kept_id[first])
-    return child_of, child[new], step_features(features, kept_state[first], rows, self_loop, n_hist)
+    return child_of, child[new]
 
 
 # learners per level-synchronous search in `recommend_all`. A block's levels
-# are held until it is ranked, and a level's features and hidden layers
-# (8 KB a state at PGPR width) at once, so the block size bounds the search's
-# memory: at 4, its tracemalloc peak on the benchmark workloads is at most
-# 1.4 MB above that of searching one learner at a time.
+# are held until it is ranked, and a level's hidden layers (4 KB a state at
+# PGPR width) at once, so the block size bounds the search's memory: at 4,
+# its tracemalloc peak on the benchmark workloads is at most 1.2 MB above
+# that of searching one learner at a time. The `FirstLayer` tables add a
+# constant to both, 1.6 MB at PGPR width.
 BLOCK_LEARNERS = 4
 
 
@@ -153,23 +152,27 @@ def search_block(
     env: PathEnv,
     params: dict[str, np.ndarray],
     beam_widths: tuple[int, ...],
+    tables: FirstLayer,
 ) -> list[Beam]:
-    """Each learner's `beam_search`, run level-synchronously over all of them.
+    """Each learner's `beam_search`, run level-synchronously over all of them,
+    with `tables` the `first_layer_tables` of `params` over `env`.
 
     At level k each surviving prefix keeps its beam_widths[k] most probable
     actions (ties broken by action order, so runs are reproducible). The
     policy sees only the learner, the current entity and the history, so a
     level is expanded once per distinct (entity, learner, history) state.
     States are integer rows (entity id, learner position, the last H action
-    ids), kept in entity order: the states on one entity form a run that
-    `hop_forward` scores with one product against the entity's action matrix.
+    ids), kept in entity order. A state's first-layer pre-activation is read
+    off its key row from `tables`, and the states on one entity form a run
+    that `hop_from_preactivation` scores with one product against the
+    entity's action matrix.
     Each state keeps its top actions once, and every prefix grows by its
     state's kept actions, in prefix order. Prefixes are learner-major, so
     each learner's `Beam` is a contiguous view of the block's levels. As a
     sequence it is that of expanding each of the learner's prefixes on its
     own, in the same order, with the same paths; the scores agree with it to
-    within rounding, not bit for bit, because the matrix products and the
-    segment sums of the softmax add in another order than one state's
+    within rounding, not bit for bit, because the tables, the matrix products
+    and the segment sums of the softmax add in another order than one state's
     `policy_forward` does.
     """
     if any(w < 1 for w in beam_widths):
@@ -178,17 +181,14 @@ def search_block(
         env.initial_state(learner, len(beam_widths))  # rejects a non-learner and no widths
     if not learners:
         return []
-    n_hist = env.history_len
-    # each state's key row: entity id, learner position, the last n_hist
-    # action ids (-1 before the first hop); the rows are kept sorted
-    key = np.full((len(learners), 2 + n_hist), -1, dtype=np.intp)
+    # each state's key row: entity id, learner position, the last H action ids
+    # (-1 before the first hop); the rows are kept sorted
+    key = np.full((len(learners), 2 + env.history_len), -1, dtype=np.intp)
     key[:, 0] = [env.kg.entity_id(u) for u in learners]
     key[:, 1] = np.arange(len(learners))
     order = np.lexsort(key.T[::-1])
     key = key[order]
-    features = np.array([
-        start_features(env.embeddings, learners[b], n_hist) for b in order.tolist()
-    ])
+    learner_index = np.array([u.index for u in learners])
     state_of = np.argsort(order)  # each prefix's state; prefix b is learner b's
     acc = np.zeros(len(learners))
     levels = []  # per level: each prefix's parent prefix and last hop's action id
@@ -197,7 +197,8 @@ def search_block(
         run_start = np.flatnonzero(np.concatenate(([True], entity[1:] != entity[:-1])))
         runs = np.concatenate((run_start[1:], [len(entity)])) - run_start
         asets = env.action_sets(entity[run_start].tolist())
-        n_kept, kept_state, kept_slot, kept_lp = _expand(params, features, asets, runs, width)
+        pre = tables.preactivations(learner_index[key[:, 1]], entity, key[:, 2:])
+        n_kept, kept_state, kept_slot, kept_lp = _expand(params, pre, asets, runs, width)
         # the kept actions' ids, gathered from the runs' action sets
         set_sizes = np.array([len(aset.actions) for aset in asets])
         at = np.repeat(np.cumsum(set_sizes) - set_sizes, runs)[kept_state] + kept_slot
@@ -214,7 +215,7 @@ def search_block(
         if level + 1 == len(beam_widths):
             break
 
-        child_of, key, features = _child_states(env, key, features, kept_state, kept_slot, kept_id)
+        child_of, key = _child_states(key, kept_state, kept_id, env.kg.n_ids)
         state_of = child_of[slot]
 
     final_course = env.kg.course_index(kept_id[slot] % env.kg.n_ids)
@@ -237,7 +238,12 @@ def beam_search(
 ) -> Beam:
     """All completed budget-length paths surviving per-level truncation: the
     one-learner case of `search_block`."""
-    return search_block([learner], env, params, beam_widths)[0]
+    return search_block([learner], env, params, beam_widths, first_layer_tables(params, env))[0]
+
+
+def _check_n(n) -> None:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"list length n must be an integer >= 1, got {n!r}")
 
 
 def rank_candidates(
@@ -253,6 +259,7 @@ def rank_candidates(
     index. The list is truncated to n (shorter means invalid user), and
     `Path`s are built only for the listed items.
     """
+    _check_n(n)
     prefix = np.flatnonzero(
         (beam.final_course >= 0) & ~np.isin(beam.final_course, list(train_courses))
     )
@@ -279,15 +286,18 @@ def recommend_all(
 ) -> tuple[dict[int, RecommendationList], float]:
     """Per-learner lists plus the fraction of learners with short lists.
 
-    The learners are searched in blocks of `BLOCK_LEARNERS`, and each block's
-    beams are ranked and released before the next block starts.
+    The learners are searched in blocks of `BLOCK_LEARNERS`, all from one
+    `first_layer_tables`, and each block's beams are ranked and released
+    before the next block starts.
     """
+    _check_n(n)
+    tables = first_layer_tables(params, env)
     recs: list[RecommendationList] = []
     for start in range(0, len(learners), BLOCK_LEARNERS):
         block = learners[start : start + BLOCK_LEARNERS]
         recs += [
             rank_candidates(beam, u, train_sets.get(u.index, frozenset()), n)
-            for u, beam in zip(block, search_block(block, env, params, beam_widths))
+            for u, beam in zip(block, search_block(block, env, params, beam_widths, tables))
         ]
     invalid = sum(1 for rec in recs if not rec.is_valid)
     return {rec.learner.index: rec for rec in recs}, invalid / len(learners) if learners else 0.0

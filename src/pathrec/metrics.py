@@ -121,6 +121,18 @@ def pop_lists(
     return out
 
 
+def _add_rows(param: np.ndarray, rows: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """`np.add.at(param, rows, np.concatenate(terms))` bit for bit, as one
+    `np.bincount` on a new array: each bin starts from the parameter's own
+    value and adds its terms in order."""
+    n, f = param.shape
+    at = np.empty(param.size + len(rows) * f, dtype=np.intp)  # each value's flat index
+    at[: param.size] = np.arange(param.size)
+    np.add((rows * f)[:, None], np.arange(f), out=at[param.size :].reshape(-1, f))
+    weights = np.concatenate([param.ravel(), *(block.ravel() for block in terms)])
+    return np.bincount(at, weights, minlength=param.size).reshape(n, f)
+
+
 def mf_baseline(
     split: EnrollmentSplit,
     n_courses: int,
@@ -157,15 +169,14 @@ def mf_baseline(
                 if not bad.any():
                     break
                 j[bad] = rng.integers(0, n_courses, size=int(bad.sum()))
-            x = np.einsum("bf,bf->b", p[u], q[i] - q[j])
+            diff = q[i] - q[j]
+            x = np.einsum("bf,bf->b", p[u], diff)
             e = stable_sigmoid(-x)[:, None]
-            dp = e * (q[i] - q[j])
-            dqi = e * p[u]
             if not np.all(np.isfinite(x)):
                 raise DivergenceError("non-finite scores in latent-factor training")
-            np.add.at(p, u, learning_rate * dp)
-            np.add.at(q, i, learning_rate * dqi)
-            np.add.at(q, j, -learning_rate * dqi)
+            step = learning_rate * (e * p[u])  # positive courses' terms; negatives take -step
+            p = _add_rows(p, u, learning_rate * (e * diff))
+            q = _add_rows(q, np.concatenate((i, j)), step, -step)
     out = {}
     course_ids = np.arange(n_courses)
     for row, u in enumerate(learners):

@@ -10,9 +10,11 @@ Rewards are terminal-only, so with the default gamma of 1 the return at
 every step equals the episode reward.
 
 Training runs each batch of episodes in lockstep, hop by hop: a hop is one
-`hop_forward` over the stacked states of all the batch's walks (beam search
-runs the same pass over a level's states). The batch keeps each hop's pass,
-and the update works on it one hop at a time.
+`hop_forward` over the stacked states of all the batch's walks. The batch
+keeps each hop's pass, and the update works on it one hop at a time. Beam
+search runs the same pass over a level's states, from first-layer
+pre-activations that it reads off per-id `FirstLayer` tables instead of
+features.
 """
 
 from __future__ import annotations
@@ -125,11 +127,11 @@ def step_features(
 
     Row i takes the action whose `ActionSet.matrix` row is action_rows[i] from
     the state whose features are features[source[i]]; the bool array
-    self_loop marks the rows that take the self-loop. Both callers step a
-    stack of states: `sample_episodes` its batch of walks, `search_block` a
-    level's distinct states. Only the columns a step keeps are gathered from
-    `features`. Each value is copied, or is v_start minus the new v_current,
-    so a walk's features are the same bit for bit in any stack.
+    self_loop marks the rows that take the self-loop. `sample_episodes`
+    steps its batch of walks this way (beam search needs no features: it
+    reads `FirstLayer` tables). Only the columns a step keeps are gathered
+    from `features`. Each value is copied, or is v_start minus the new
+    v_current, so a walk's features are the same bit for bit in any stack.
     """
     d = action_rows.shape[1] // 2
     start, tail = features[source, :d], action_rows[:, d:]
@@ -142,6 +144,58 @@ def step_features(
     if history:
         out[self_loop, 4 * d : 5 * d] = 0.0
     return out
+
+
+class FirstLayer(NamedTuple):
+    """The first layer's pre-activation `w1 @ x + b1` of a state's features x,
+    split by the feature blocks of `start_features` and `step_features`.
+
+    With w1 = [A B C R_1 T_1 ... R_H T_H] over
+    [v_start ; v_current ; v_start - v_current ; (rel ; tail) x H], it is
+    [(A + C) v_start + b1] + (B - C) v_current + sum_k (R_k rel_k + T_k tail_k).
+    `start` holds the first term per learner index, `current` the second per
+    entity id, and relation[k] and tail[k] history slot k's terms per
+    relation id and per entity id. Each tail[k] ends in one zero row more,
+    for the slots that hold no tail.
+    """
+
+    start: np.ndarray
+    current: np.ndarray
+    relation: list[np.ndarray]
+    tail: list[np.ndarray]
+
+    def preactivations(
+        self, learner: np.ndarray, entity: np.ndarray, history: np.ndarray
+    ) -> np.ndarray:
+        """`features @ w1.T + b1`, to within rounding, of the walks from
+        learner indices `learner` on entity ids `entity`, where history[i, k]
+        is the action id walk i took k + 1 hops ago, or -1 before its first
+        hop. Such a slot and a self-loop's have zero features: they take the
+        self-loop's zero relation row and the zero tail row."""
+        n_ids = len(self.current)
+        pre = self.start[learner] + self.current[entity]
+        for relation, tail, ids in zip(self.relation, self.tail, history.T):
+            rel, ent = np.divmod(ids, n_ids)
+            real = ids >= n_ids  # a self-loop's id is its entity's, below n_ids
+            pre += relation[np.where(real, rel, 0)]
+            pre += tail[np.where(real, ent, n_ids)]
+        return pre
+
+
+def first_layer_tables(params: dict[str, np.ndarray], env: PathEnv) -> FirstLayer:
+    """The `FirstLayer` of these `params` over `env`'s learners, entities and
+    relations: one product per table, from the environment's action rows."""
+    d, w1 = env.embeddings.d, params["w1"]
+    blocks = [w1[:, k * d : (k + 1) * d].T for k in range(w1.shape[1] // d)]
+    tails = [np.zeros((len(env.entity_rows) + 1, len(w1))) for _ in blocks[4::2]]
+    for tail, block in zip(tails, blocks[4::2]):
+        np.matmul(env.entity_rows, block, out=tail[:-1])  # the last row stays zero
+    return FirstLayer(
+        env.embeddings.entity["learner"] @ (blocks[0] + blocks[2]) + params["b1"],
+        env.entity_rows @ (blocks[1] - blocks[2]),
+        [env.relation_rows @ block for block in blocks[3::2]],
+        tails,
+    )
 
 
 def policy_forward(
@@ -173,16 +227,17 @@ def baseline(params: dict[str, np.ndarray], hidden: np.ndarray):
 class Hop:
     """`hop_forward` of a stack of states, and the action each walk took.
 
-    State i has features[i] and hidden layer hidden[i]. The states come in
-    runs that share an action matrix: run r is runs[r] consecutive states
-    over matrices[r]. Training's hops have runs of one, so there matrices[i]
-    is walk i's. State i's distribution is the segment of `probs` and
-    `log_probs` of sizes[i] rows from starts[i] (seg[r] is the state of row
-    r), with entropy entropy[i]. `sample_episodes` sets chosen[i], the row
-    walk i took.
+    State i has features[i] and hidden layer hidden[i]; a hop that
+    `hop_from_preactivation` made without features has None there. The states
+    come in runs that share an action matrix: run r is runs[r] consecutive
+    states over matrices[r]. Training's hops have runs of one, so there
+    matrices[i] is walk i's. State i's distribution is the segment of `probs`
+    and `log_probs` of sizes[i] rows from starts[i] (seg[r] is the state of
+    row r), with entropy entropy[i]. `sample_episodes` sets chosen[i], the
+    row walk i took.
     """
 
-    features: np.ndarray
+    features: np.ndarray | None
     hidden: np.ndarray
     matrices: list[np.ndarray]
     runs: np.ndarray
@@ -202,16 +257,30 @@ def hop_forward(
     """`policy_forward` of each row of `features`, the runs[r] rows of run r
     over the actions of matrices[r].
 
-    The hidden layers and their queries `hidden @ proj` are one matrix product
-    each, a run's logits `queries[a:b] @ matrix.T` one more, and the
-    distributions segments of one logit array. They agree with
-    `policy_forward` to within rounding, not bit for bit: the products and
-    the segment sums add in another order. A run of one state scores its
-    actions as `matrix @ query` does, bit for bit.
+    The hidden layers are one matrix product, then `hop_from_preactivation`.
+    They agree with `policy_forward` to within rounding, not bit for bit: the
+    products and the segment sums add in another order. A run of one state
+    scores its actions as `matrix @ query` does, bit for bit.
     """
-    hidden = features @ params["w1"].T
-    hidden += params["b1"]
-    np.tanh(hidden, out=hidden)
+    pre = features @ params["w1"].T
+    pre += params["b1"]
+    hop = hop_from_preactivation(params, pre, matrices, runs)
+    hop.features = features
+    return hop
+
+
+def hop_from_preactivation(
+    params: dict[str, np.ndarray], pre: np.ndarray, matrices: list[np.ndarray],
+    runs: np.ndarray,
+) -> Hop:
+    """`hop_forward` of the states whose first-layer pre-activations are the
+    rows of `pre`, which becomes their hidden layers in place.
+
+    The queries `hidden @ proj` are one matrix product, a run's logits
+    `queries[a:b] @ matrix.T` one more, and the distributions segments of one
+    logit array.
+    """
+    hidden = np.tanh(pre, out=pre)
     queries = hidden @ params["proj"]
     ends = np.cumsum(runs)
     # a run of one takes the matrix-vector product: the same bits as the
@@ -228,9 +297,7 @@ def hop_forward(
     z = np.add.reduceat(exp, starts)
     probs, log_probs = exp / z[seg], shifted - np.log(z)[seg]
     entropy = -np.add.reduceat(probs * log_probs, starts)
-    return Hop(
-        features, hidden, matrices, runs, probs, log_probs, sizes, starts, seg, entropy,
-    )
+    return Hop(None, hidden, matrices, runs, probs, log_probs, sizes, starts, seg, entropy)
 
 
 class Step(NamedTuple):

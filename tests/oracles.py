@@ -11,7 +11,8 @@ those walks and per-step updates, beam results against exhaustive
 action-sequence enumeration and against a beam search that expands every
 prefix on its own, candidate ranking against a dict of each course's
 best (Path, score) pair, action-set matrices against a row-by-row build,
-and the graph's CSR adjacency against a dict of sorted edge tuples per head.
+the graph's CSR adjacency against a dict of sorted edge tuples per head, and
+the latent-factor baseline's row scatter against `np.add.at`.
 """
 
 import math
@@ -31,6 +32,14 @@ from pathrec.policy import baseline, feature_size, init_policy, policy_forward
 from pathrec.schema import (
     ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, inverse_of, relation_types,
 )
+
+
+def add_at_rows(param, rows, terms):
+    """A copy of `param` with terms[r] added to row rows[r], one term at a
+    time in order, by `np.add.at`."""
+    out = param.copy()
+    np.add.at(out, rows, terms)
+    return out
 
 
 def reference_adjacency(kg):

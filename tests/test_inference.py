@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathrec.policy as policy_module
 from pathrec import inference
 from pathrec.embeddings import EmbedConfig, init_embeddings
 from pathrec.environment import Path, PathEnv
@@ -21,7 +22,7 @@ from pathrec.inference import (
     recommend_all,
     write_recommendations,
 )
-from pathrec.policy import AgentConfig, hop_forward, init_policy, policy_forward
+from pathrec.policy import AgentConfig, hop_from_preactivation, init_policy, policy_forward
 from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
@@ -220,16 +221,26 @@ class TestBeamSearch:
                 reference_beam_search(learner, env, params, widths),
             )
 
+    def test_equals_per_prefix_reference_at_pgpr_width(self):
+        # d=100 and hidden 512, the benchmarked width, where the tables'
+        # first layer sums the most terms in another order than the features'
+        kg, env, params = synth_setup(1, d=100, hidden=512)
+        learner = kg.learners()[0]
+        assert_matches_oracle(
+            beam_search(learner, env, params, FIVE_HOPS),
+            reference_beam_search(learner, env, params, FIVE_HOPS),
+        )
+
     @pytest.mark.parametrize("history", [0, 1, 2])
     def test_one_batched_forward_per_level(self, monkeypatch, history):
         kg, env, params = synth_setup(history)
         calls = []
 
-        def counting_forward(params, features, matrices, runs):
-            calls.append(features.shape[0])
-            return hop_forward(params, features, matrices, runs)
+        def counting_forward(params, pre, matrices, runs):
+            calls.append(pre.shape[0])
+            return hop_from_preactivation(params, pre, matrices, runs)
 
-        monkeypatch.setattr(inference, "hop_forward", counting_forward)
+        monkeypatch.setattr(inference, "hop_from_preactivation", counting_forward)
         monkeypatch.setattr(inference, "policy_forward", None)  # not used by the beam
         beam_search(kg.learners()[0], env, params, FIVE_HOPS)
         assert len(calls) == len(FIVE_HOPS)
@@ -240,11 +251,11 @@ class TestBeamSearch:
         learner = kg.learners()[0]
         rows = []
 
-        def counting_forward(params, features, matrices, runs):
-            rows.append(features.shape[0])
-            return hop_forward(params, features, matrices, runs)
+        def counting_forward(params, pre, matrices, runs):
+            rows.append(pre.shape[0])
+            return hop_from_preactivation(params, pre, matrices, runs)
 
-        monkeypatch.setattr(inference, "hop_forward", counting_forward)
+        monkeypatch.setattr(inference, "hop_from_preactivation", counting_forward)
         paths = beam_search(learner, env, params, FIVE_HOPS)
         # every prefix keeps at least its self-loop, so the prefixes of level
         # k are exactly the distinct k-hop heads of the returned paths
@@ -458,11 +469,11 @@ class TestRecommendAll:
         learners = kg.learners()[:10]
         calls = []
 
-        def counting_forward(params, features, matrices, runs):
-            calls.append(features.shape[0])
-            return hop_forward(params, features, matrices, runs)
+        def counting_forward(params, pre, matrices, runs):
+            calls.append(pre.shape[0])
+            return hop_from_preactivation(params, pre, matrices, runs)
 
-        monkeypatch.setattr(inference, "hop_forward", counting_forward)
+        monkeypatch.setattr(inference, "hop_from_preactivation", counting_forward)
         recommend_all(learners, env, params, TRAIN, FIVE_HOPS, n=5)
         size = inference.BLOCK_LEARNERS
         blocks = [learners[i : i + size] for i in range(0, len(learners), size)]
@@ -470,6 +481,24 @@ class TestRecommendAll:
         assert len(calls) == len(blocks) * len(FIVE_HOPS)
         # a block's first level has one state per learner
         assert calls[:: len(FIVE_HOPS)] == [len(block) for block in blocks]
+
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_search_builds_no_features(self, monkeypatch, history):
+        # the first layer comes from the tables, so no state's features or
+        # action rows are built once the action sets exist
+        kg, env, params = synth_setup(history)
+        learners = kg.learners()[:6]
+        want, _ = recommend_all(learners, env, params, TRAIN, FIVE_HOPS, n=5)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the search built features")
+
+        for name in ("start_features", "step_features"):
+            monkeypatch.setattr(policy_module, name, forbidden)
+            monkeypatch.setattr(inference, name, forbidden, raising=False)
+        monkeypatch.setattr(PathEnv, "action_rows", forbidden)
+        got, _ = recommend_all(learners, env, params, TRAIN, FIVE_HOPS, n=5)
+        assert got == want
 
     def test_search_memory_is_bounded_by_the_block(self):
         # the same two blocks of learners searched once and three times over:
@@ -504,6 +533,26 @@ class TestRecommendAll:
         )
         expected = sum(1 for rec in lists.values() if len(rec.items) < 2) / 4
         assert invalid == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_n_below_one_is_config_error(self, n):
+        # a list of at most n items: n=-1 would slice off all but the last
+        # course, and n=0 leave every list empty, and both count as valid
+        _kg, env, params = tiny_setup()
+        beam = beam_search(L(0), env, params, (10, 10, 10))
+        with pytest.raises(ConfigError):
+            rank_candidates(beam, L(0), TRAIN[0], n=n)
+        with pytest.raises(ConfigError):
+            recommend_all([L(i) for i in range(4)], env, params, TRAIN, (10, 10, 10), n=n)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, "3", True, None])
+    def test_non_integer_n_is_config_error(self, n):
+        _kg, env, params = tiny_setup()
+        beam = beam_search(L(0), env, params, (10, 10, 10))
+        with pytest.raises(ConfigError):
+            rank_candidates(beam, L(0), TRAIN[0], n=n)
+        with pytest.raises(ConfigError):
+            recommend_all([L(i) for i in range(4)], env, params, TRAIN, (10, 10, 10), n=n)
 
     def test_n_larger_than_catalog_all_invalid(self):
         _kg, env, params = tiny_setup()

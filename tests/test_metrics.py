@@ -8,6 +8,7 @@ from pathrec.errors import DataError
 from pathrec.kg import EnrollmentSplit
 from pathrec.metrics import (
     MetricsReport,
+    _add_rows,
     RunMetrics,
     evaluate,
     format_report_table,
@@ -20,7 +21,7 @@ from pathrec.schema import EntityRef
 from pathrec.synthetic import SynthConfig, generate
 from pathrec.kg import split_enrollments
 
-from oracles import metrics_oracle
+from oracles import add_at_rows, metrics_oracle
 
 # mf_baseline lists of `golden_mf_split()` at seeds 0-2 (factors 8, 10 epochs,
 # batch 256), written while the train sets were a dict of Python sets
@@ -157,6 +158,19 @@ class TestMfBaseline:
         for seed in (0, 1, 2):
             lists = mf_baseline(split, 30, factors=8, epochs=10, seed=seed, k=10, batch_size=256)
             assert {str(u): [c.index for c in ranked] for u, ranked in lists.items()} == want[str(seed)]
+
+    def test_row_scatter_is_add_at_bit_for_bit(self):
+        # rows repeat, and terms of mixed sign and scale meet in one bin, so
+        # only adding each bin's terms in add.at's order gives the same bits
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n, f, m = rng.integers(1, 12), rng.integers(1, 6), rng.integers(0, 40)
+            param = rng.normal(0.0, 0.1, size=(n, f))
+            rows = rng.integers(0, n, size=m)
+            terms = rng.normal(size=(m, f)) * 10.0 ** rng.integers(-8, 3, size=(m, 1))
+            cut = rng.integers(0, m + 1)  # the terms may come in two blocks
+            got = _add_rows(param, rows, terms[:cut], terms[cut:])
+            assert np.array_equal(got, add_at_rows(param, rows, terms))
 
     def test_no_train_course_is_returned(self):
         # k is the whole catalog, so every course a list leaves out is a train course

@@ -18,6 +18,7 @@ from pathrec.policy import (
     batch_gradients,
     compute_advantages,
     feature_size,
+    first_layer_tables,
     hop_forward,
     init_policy,
     load_policy,
@@ -30,7 +31,7 @@ from pathrec.policy import (
     step_features,
     train_agent,
 )
-from pathrec.schema import SELF_LOOP, EntityRef
+from pathrec.schema import ACTION_RELATIONS, SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
 from conftest import flip_bit, make_tiny_kg, put_bad_byte
@@ -108,6 +109,43 @@ class TestStateFeatures:
             table.feature_relation_vector("enrolled_inv"),
             -table.feature_relation_vector("enrolled"),
         )
+
+
+class TestFirstLayerTables:
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    def test_preactivations_equal_the_features_product(self, history):
+        env = tiny_env(d=6, history=history)
+        kg = env.kg
+        params = init_policy(6, AgentConfig(hidden=16, history=history, seed=4))
+        params["b1"] = np.random.default_rng(5).normal(size=16)  # b1 starts at zero
+        rng = np.random.default_rng(history)
+        # walks that start, take real hops and take self-loops, in mixed order
+        states, last = [], []  # each state, and the relation of the hop into it
+        for learner in kg.learners():
+            for _ in range(6):
+                state = env.initial_state(learner, 4)
+                states.append(state)
+                last.append(None)
+                for _ in range(4):
+                    actions = env.action_set(state.current).actions
+                    loop = rng.random() < 0.4 or len(actions) == 1
+                    action = actions[0 if loop else rng.integers(1, len(actions))]
+                    state = env.step(state, action)
+                    states.append(state)
+                    last.append(action[0])
+        assert {None, SELF_LOOP} < set(last) and len(set(last)) > 3
+        ids = np.full((len(states), history), -1)
+        for row, state in enumerate(states):
+            for k, (rel, ent) in enumerate(state.history[:history]):
+                ids[row, k] = ACTION_RELATIONS.index(rel) * kg.n_ids + kg.entity_id(ent)
+        got = first_layer_tables(params, env).preactivations(
+            np.array([s.start.index for s in states]),
+            np.array([kg.entity_id(s.current) for s in states]),
+            ids,
+        )
+        features = np.array([state_features(s, env.embeddings, history) for s in states])
+        want = features @ params["w1"].T + params["b1"]
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestPolicyForward:
