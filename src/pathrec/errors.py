@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the readers that map
-undecodable or truncated input onto them, and the one writer of artifacts."""
+"""Exception types shared across the package, the readers that map undecodable
+or truncated input onto them, the check of counts, and the one artifact writer."""
 
+import numbers
 import os
 from contextlib import contextmanager, suppress
 
@@ -23,6 +24,12 @@ class CheckpointMismatchError(PathrecError):
 
 class DivergenceError(PathrecError):
     """Training produced a non-finite loss or gradient."""
+
+
+def check_count(value, name: str) -> None:
+    """Raise ConfigError unless `value` is an integer >= 1; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @contextmanager

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import Action, ActionSet, Path, PathEnv
-from .errors import ConfigError, DataError, atomic_write, open_text
+from .errors import ConfigError, DataError, atomic_write, check_count, open_text
 from .kg import KnowledgeGraph
-from .policy import FirstLayer, first_layer_tables, hop_from_preactivation
+from .policy import FirstLayer, first_layer_tables, hop_from_preactivation, start_keys, step_keys
 # `policy_forward` is not called here, but it stays bound as `inference.policy_forward`:
 # perfbench/tracing.py wraps that attribute by name.
 from .policy import policy_forward  # noqa: F401
@@ -127,9 +126,7 @@ def _child_states(
     Equal keys are one state, and sorting the keys puts the children in
     entity order.
     """
-    tail = kept_id % n_ids
-    child = np.column_stack([tail, key[kept_state, 1], kept_id, key[kept_state, 2:-1]])
-    child = child[:, : key.shape[1]]
+    child = step_keys(key[kept_state], kept_id, n_ids)
     order = np.lexsort(child.T[::-1])
     child = child[order]
     new = np.concatenate(([True], (child[1:] != child[:-1]).any(axis=1)))
@@ -161,7 +158,7 @@ def search_block(
     actions (ties broken by action order, so runs are reproducible). The
     policy sees only the learner, the current entity and the history, so a
     level is expanded once per distinct (entity, learner, history) state.
-    States are integer rows (entity id, learner position, the last H action
+    States are integer rows (entity id, learner index, the last H action
     ids), kept in entity order. A state's first-layer pre-activation is read
     off its key row from `tables`, and the states on one entity form a run
     that `hop_from_preactivation` scores with one product against the
@@ -181,14 +178,9 @@ def search_block(
         env.initial_state(learner, len(beam_widths))  # rejects a non-learner and no widths
     if not learners:
         return []
-    # each state's key row: entity id, learner position, the last H action ids
-    # (-1 before the first hop); the rows are kept sorted
-    key = np.full((len(learners), 2 + env.history_len), -1, dtype=np.intp)
-    key[:, 0] = [env.kg.entity_id(u) for u in learners]
-    key[:, 1] = np.arange(len(learners))
+    key = start_keys(env, learners)  # the rows are kept sorted
     order = np.lexsort(key.T[::-1])
     key = key[order]
-    learner_index = np.array([u.index for u in learners])
     state_of = np.argsort(order)  # each prefix's state; prefix b is learner b's
     acc = np.zeros(len(learners))
     levels = []  # per level: each prefix's parent prefix and last hop's action id
@@ -197,7 +189,7 @@ def search_block(
         run_start = np.flatnonzero(np.concatenate(([True], entity[1:] != entity[:-1])))
         runs = np.concatenate((run_start[1:], [len(entity)])) - run_start
         asets = env.action_sets(entity[run_start].tolist())
-        pre = tables.preactivations(learner_index[key[:, 1]], entity, key[:, 2:])
+        pre = tables.preactivations(key[:, 1], entity, key[:, 2:])
         n_kept, kept_state, kept_slot, kept_lp = _expand(params, pre, asets, runs, width)
         # the kept actions' ids, gathered from the runs' action sets
         set_sizes = np.array([len(aset.actions) for aset in asets])
@@ -241,11 +233,6 @@ def beam_search(
     return search_block([learner], env, params, beam_widths, first_layer_tables(params, env))[0]
 
 
-def _check_n(n) -> None:
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"list length n must be an integer >= 1, got {n!r}")
-
-
 def rank_candidates(
     beam: Beam,
     learner: EntityRef,
@@ -259,7 +246,7 @@ def rank_candidates(
     index. The list is truncated to n (shorter means invalid user), and
     `Path`s are built only for the listed items.
     """
-    _check_n(n)
+    check_count(n, "list length n")
     prefix = np.flatnonzero(
         (beam.final_course >= 0) & ~np.isin(beam.final_course, list(train_courses))
     )
@@ -290,7 +277,7 @@ def recommend_all(
     `first_layer_tables`, and each block's beams are ranked and released
     before the next block starts.
     """
-    _check_n(n)
+    check_count(n, "list length n")
     tables = first_layer_tables(params, env)
     recs: list[RecommendationList] = []
     for start in range(0, len(learners), BLOCK_LEARNERS):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DivergenceError, atomic_write
+from .errors import DataError, DivergenceError, atomic_write, check_count
 from .kg import EnrollmentSplit
 from .optim import stable_sigmoid
 from .schema import EntityRef
@@ -21,7 +21,9 @@ def metrics_at_k(
 
     DCG discounts hits by 1/log2(rank+1); IDCG assumes min(|relevant|, k)
     leading hits. Precision keeps k in the denominator even for short lists.
+    A k that is not an integer >= 1 is a ConfigError.
     """
+    check_count(k, "k")
     if len(set(ranked)) != len(ranked):
         raise DataError("ranked list contains duplicates")
     if not relevant:
@@ -70,6 +72,7 @@ def evaluate(lists: dict[int, object], split: EnrollmentSplit, k: int = 10) -> R
     Short lists are scored as-is (missing slots are misses) and counted in
     invalid_fraction; a test learner missing from `lists` is an error.
     """
+    check_count(k, "k")
     totals = np.zeros(4)
     invalid = 0
     n = 0
@@ -113,6 +116,7 @@ def pop_lists(
     split: EnrollmentSplit, n_courses: int, k: int = 10
 ) -> dict[int, list[EntityRef]]:
     """Serve the global ranking minus each learner's own train courses."""
+    check_count(k, "k")
     ranking = pop_baseline(split, n_courses)
     out = {}
     for learner_idx, courses in split.train.items():
@@ -146,6 +150,7 @@ def mf_baseline(
     """Latent-factor rankings trained with a pairwise (positive vs sampled
     negative) logistic ranking loss; train courses are excluded from output,
     so a list is shorter than k when fewer than k courses are left."""
+    check_count(k, "k")
     if not split.train:
         raise DataError("train split is empty")
     rng = np.random.default_rng([seed, 7])

@@ -9,12 +9,11 @@ while the baseline head is regressed onto the return by squared error.
 Rewards are terminal-only, so with the default gamma of 1 the return at
 every step equals the episode reward.
 
-Training runs each batch of episodes in lockstep, hop by hop: a hop is one
-`hop_forward` over the stacked states of all the batch's walks. The batch
-keeps each hop's pass, and the update works on it one hop at a time. Beam
-search runs the same pass over a level's states, from first-layer
-pre-activations that it reads off per-id `FirstLayer` tables instead of
-features.
+A state is an integer key row (see `start_keys`). Training and beam search
+both read a stack of states' first-layer pre-activations off per-id
+`FirstLayer` tables and run `hop_from_preactivation` on them. Training runs
+one such pass per hop over all of a batch's walks, and the update reuses it;
+only `w1`'s gradient needs features, which `key_features` gathers.
 """
 
 from __future__ import annotations
@@ -107,48 +106,42 @@ def init_policy(d: int, cfg: AgentConfig) -> dict[str, np.ndarray]:
     }
 
 
-def start_features(table: EmbeddingTable, learner: EntityRef, history: int) -> np.ndarray:
-    """Features of a walk that has not moved: [v_start ; v_start ; 0 ; 0...].
+def start_keys(env: PathEnv, learners: list[EntityRef]) -> np.ndarray:
+    """The key rows of walks that start at `learners`. A state's key row is its
+    entity id, its learner index, and the ids of the last H actions it took,
+    most recent first, with -1 before the first hop."""
+    key = np.full((len(learners), 2 + env.history_len), -1, dtype=np.intp)
+    key[:, 0] = [env.kg.entity_id(u) for u in learners]
+    key[:, 1] = [u.index for u in learners]
+    return key
 
-    `step_features` grows them one action at a time; the blocks are those of
-    [v_start ; v_current ; v_start - v_current ; last H hops (rel, entity)],
-    where missing history slots and self-loop hops are zero vectors.
+
+def step_keys(key: np.ndarray, action_ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """The key rows of the states one action on: row i takes action_ids[i]
+    from the state of key[i]. The entered entity is the action's tail, which
+    is the entity itself for a self-loop, whose id is its entity's.
     """
-    x = np.zeros(feature_size(table.d, history))
-    x[: table.d] = x[table.d : 2 * table.d] = table.vector(learner)
-    return x
+    child = np.column_stack([action_ids % n_ids, key[:, 1], action_ids, key[:, 2:-1]])
+    return child[:, : key.shape[1]]
 
 
-def step_features(
-    features: np.ndarray, source: np.ndarray, action_rows: np.ndarray, self_loop: np.ndarray,
-    history: int,
-) -> np.ndarray:
-    """Features of the states one action on from states of `features`.
-
-    Row i takes the action whose `ActionSet.matrix` row is action_rows[i] from
-    the state whose features are features[source[i]]; the bool array
-    self_loop marks the rows that take the self-loop. `sample_episodes`
-    steps its batch of walks this way (beam search needs no features: it
-    reads `FirstLayer` tables). Only the columns a step keeps are gathered
-    from `features`. Each value is copied, or is v_start minus the new
-    v_current, so a walk's features are the same bit for bit in any stack.
-    """
-    d = action_rows.shape[1] // 2
-    start, tail = features[source, :d], action_rows[:, d:]
-    # one concatenate instead of a slice assignment per block: a batch makes
-    # this call once per hop, where numpy's per-call overhead is the cost
-    blocks = [start, tail, start - tail]
-    if history:
-        blocks += [action_rows, features[source, 3 * d : -2 * d]]
-    out = np.concatenate(blocks, axis=1)
-    if history:
-        out[self_loop, 4 * d : 5 * d] = 0.0
-    return out
+def key_features(env: PathEnv, key: np.ndarray) -> np.ndarray:
+    """The features [v_start ; v_current ; v_start - v_current ; (rel ; tail) x H]
+    of the states of key rows, gathered from `env`'s rows, bit for bit the same
+    in any stack; a history slot at -1 or on a self-loop is zero."""
+    start = env.embeddings.entity["learner"][key[:, 1]]
+    current = env.entity_rows[key[:, 0]]
+    blocks = [start, current, start - current]
+    for ids in key[:, 2:].T:
+        rows = env.action_rows(ids)
+        rows[ids < env.kg.n_ids] = 0.0  # a self-loop's id is its entity's, below n_ids
+        blocks.append(rows)
+    return np.concatenate(blocks, axis=1)
 
 
 class FirstLayer(NamedTuple):
     """The first layer's pre-activation `w1 @ x + b1` of a state's features x,
-    split by the feature blocks of `start_features` and `step_features`.
+    split by the feature blocks of `key_features`.
 
     With w1 = [A B C R_1 T_1 ... R_H T_H] over
     [v_start ; v_current ; v_start - v_current ; (rel ; tail) x H], it is
@@ -156,13 +149,16 @@ class FirstLayer(NamedTuple):
     `start` holds the first term per learner index, `current` the second per
     entity id, and relation[k] and tail[k] history slot k's terms per
     relation id and per entity id. Each tail[k] ends in one zero row more,
-    for the slots that hold no tail.
+    for the slots that hold no tail. `filled` marks the entity ids whose
+    rows are set, and `fill` sets more from `weights`, [B - C, T_1 ... T_H].
     """
 
     start: np.ndarray
     current: np.ndarray
     relation: list[np.ndarray]
     tail: list[np.ndarray]
+    weights: list[np.ndarray]
+    filled: np.ndarray
 
     def preactivations(
         self, learner: np.ndarray, entity: np.ndarray, history: np.ndarray
@@ -171,7 +167,8 @@ class FirstLayer(NamedTuple):
         learner indices `learner` on entity ids `entity`, where history[i, k]
         is the action id walk i took k + 1 hops ago, or -1 before its first
         hop. Such a slot and a self-loop's have zero features: they take the
-        self-loop's zero relation row and the zero tail row."""
+        self-loop's zero relation row and the zero tail row. The rows read
+        must be set."""
         n_ids = len(self.current)
         pre = self.start[learner] + self.current[entity]
         for relation, tail, ids in zip(self.relation, self.tail, history.T):
@@ -181,21 +178,37 @@ class FirstLayer(NamedTuple):
             pre += tail[np.where(real, ent, n_ids)]
         return pre
 
+    def fill(self, env: PathEnv, entities: np.ndarray) -> None:
+        """Set the entity rows of those of entity ids `entities` that are not
+        set yet: one product per table, over just those ids."""
+        new = np.unique(entities[~self.filled[entities]])
+        for table, block in zip([self.current, *self.tail], self.weights):
+            table[new] = env.entity_rows[new] @ block
+        self.filled[new] = True
 
-def first_layer_tables(params: dict[str, np.ndarray], env: PathEnv) -> FirstLayer:
-    """The `FirstLayer` of these `params` over `env`'s learners, entities and
-    relations: one product per table, from the environment's action rows."""
+
+def first_layer_tables(
+    params: dict[str, np.ndarray], env: PathEnv,
+    learners: np.ndarray | None = None, entities: np.ndarray | None = None,
+) -> FirstLayer:
+    """The `FirstLayer` of these `params` over `env`: one product per table,
+    over the rows of learner indices `learners` and entity ids `entities` only
+    (all by default), so that a few ids of a large graph cost only their rows."""
     d, w1 = env.embeddings.d, params["w1"]
     blocks = [w1[:, k * d : (k + 1) * d].T for k in range(w1.shape[1] // d)]
-    tails = [np.zeros((len(env.entity_rows) + 1, len(w1))) for _ in blocks[4::2]]
-    for tail, block in zip(tails, blocks[4::2]):
-        np.matmul(env.entity_rows, block, out=tail[:-1])  # the last row stays zero
-    return FirstLayer(
-        env.embeddings.entity["learner"] @ (blocks[0] + blocks[2]) + params["b1"],
-        env.entity_rows @ (blocks[1] - blocks[2]),
-        [env.relation_rows @ block for block in blocks[3::2]],
-        tails,
+    learner_rows, n = env.embeddings.entity["learner"], len(env.entity_rows)
+    learners = slice(None) if learners is None else learners
+    start = np.empty((len(learner_rows), len(w1)))
+    start[learners] = learner_rows[learners] @ (blocks[0] + blocks[2]) + params["b1"]
+    tails = [np.empty((n + 1, len(w1))) for _ in blocks[4::2]]
+    for tail in tails:
+        tail[-1] = 0.0
+    tables = FirstLayer(
+        start, np.empty((n, len(w1))), [env.relation_rows @ block for block in blocks[3::2]],
+        tails, [blocks[1] - blocks[2], *blocks[4::2]], np.zeros(n, dtype=bool),
     )
+    tables.fill(env, np.arange(n) if entities is None else entities)
+    return tables
 
 
 def policy_forward(
@@ -205,7 +218,8 @@ def policy_forward(
 
     Returns (probs, log_probs, hidden); probs is a masked softmax over exactly
     the candidates in `action_matrix` rows, and `baseline(params, hidden)`
-    is the state's value. `hop_forward` does this for a stack of states.
+    is the state's value. `hop_from_preactivation` does this for a stack of
+    states.
     """
     h = np.tanh(params["w1"] @ features + params["b1"])
     logits = action_matrix @ (params["proj"].T @ h)
@@ -225,19 +239,17 @@ def baseline(params: dict[str, np.ndarray], hidden: np.ndarray):
 
 @dataclass
 class Hop:
-    """`hop_forward` of a stack of states, and the action each walk took.
+    """`hop_from_preactivation` of a stack of states, and the action each walk took.
 
-    State i has features[i] and hidden layer hidden[i]; a hop that
-    `hop_from_preactivation` made without features has None there. The states
-    come in runs that share an action matrix: run r is runs[r] consecutive
-    states over matrices[r]. Training's hops have runs of one, so there
-    matrices[i] is walk i's. State i's distribution is the segment of `probs`
-    and `log_probs` of sizes[i] rows from starts[i] (seg[r] is the state of
-    row r), with entropy entropy[i]. `sample_episodes` sets chosen[i], the
-    row walk i took.
+    State i has hidden layer hidden[i]. The states come in runs that share an
+    action matrix: run r is runs[r] consecutive states over matrices[r].
+    Training's hops have runs of one, so there matrices[i] is walk i's. State
+    i's distribution is the segment of `probs` and `log_probs` of sizes[i]
+    rows from starts[i] (seg[r] is the state of row r), with entropy
+    entropy[i]. `sample_episodes` sets chosen[i], the row walk i took, and
+    keys[i], the key row of walk i's state (see `step_keys`).
     """
 
-    features: np.ndarray | None
     hidden: np.ndarray
     matrices: list[np.ndarray]
     runs: np.ndarray
@@ -248,37 +260,22 @@ class Hop:
     seg: np.ndarray
     entropy: np.ndarray
     chosen: np.ndarray | None = None
-
-
-def hop_forward(
-    params: dict[str, np.ndarray], features: np.ndarray, matrices: list[np.ndarray],
-    runs: np.ndarray,
-) -> Hop:
-    """`policy_forward` of each row of `features`, the runs[r] rows of run r
-    over the actions of matrices[r].
-
-    The hidden layers are one matrix product, then `hop_from_preactivation`.
-    They agree with `policy_forward` to within rounding, not bit for bit: the
-    products and the segment sums add in another order. A run of one state
-    scores its actions as `matrix @ query` does, bit for bit.
-    """
-    pre = features @ params["w1"].T
-    pre += params["b1"]
-    hop = hop_from_preactivation(params, pre, matrices, runs)
-    hop.features = features
-    return hop
+    keys: np.ndarray | None = None
 
 
 def hop_from_preactivation(
     params: dict[str, np.ndarray], pre: np.ndarray, matrices: list[np.ndarray],
     runs: np.ndarray,
 ) -> Hop:
-    """`hop_forward` of the states whose first-layer pre-activations are the
-    rows of `pre`, which becomes their hidden layers in place.
+    """`policy_forward` of the states whose first-layer pre-activations are
+    the rows of `pre`, which becomes their hidden layers in place: the runs[r]
+    states of run r over the actions of matrices[r].
 
     The queries `hidden @ proj` are one matrix product, a run's logits
     `queries[a:b] @ matrix.T` one more, and the distributions segments of one
-    logit array.
+    logit array. They agree with `policy_forward` to within rounding, not bit
+    for bit: the products and the segment sums add in another order. A run of
+    one state scores its actions as `matrix @ query` does, bit for bit.
     """
     hidden = np.tanh(pre, out=pre)
     queries = hidden @ params["proj"]
@@ -297,7 +294,7 @@ def hop_from_preactivation(
     z = np.add.reduceat(exp, starts)
     probs, log_probs = exp / z[seg], shifted - np.log(z)[seg]
     entropy = -np.add.reduceat(probs * log_probs, starts)
-    return Hop(None, hidden, matrices, runs, probs, log_probs, sizes, starts, seg, entropy)
+    return Hop(hidden, matrices, runs, probs, log_probs, sizes, starts, seg, entropy)
 
 
 class Step(NamedTuple):
@@ -308,20 +305,23 @@ class Step(NamedTuple):
 
 @dataclass
 class Episode:
-    """One sampled walk, row `row` of each of its batch's `hops`; their forward
-    pass holds for the parameters that sampled it, which its update must use."""
+    """One sampled walk on `env`, row `row` of each of its batch's `hops`; their
+    forward pass holds for the parameters that sampled it, which its update
+    must use."""
 
     path: Path
     reward: float
     entropy: float  # mean over steps, for logging
     hops: list[Hop]
     row: int
+    env: PathEnv
 
     @property
     def steps(self) -> list[Step]:
         """Each step's state features, action matrix and chosen row."""
         i = self.row
-        return [Step(h.features[i], h.matrices[i], int(h.chosen[i])) for h in self.hops]
+        features = key_features(self.env, np.array([h.keys[i] for h in self.hops]))
+        return [Step(x, h.matrices[i], int(h.chosen[i])) for x, h in zip(features, self.hops)]
 
 
 def sample_episodes(
@@ -331,22 +331,27 @@ def sample_episodes(
     """Roll a walk from each learner for the full hop budget, all in lockstep.
 
     Walk i draws each action by one `rngs[i].random()` against its cumulative
-    probabilities, so its path does not depend on the batch. Walks step on
-    entity and action ids, as in `search_block`, and each path is decoded
-    once, through `env.action`. The hops keep their forward pass, which
-    `compute_advantages` and `batch_gradients` reuse, so they must be given
-    these same `params` (the parameters are frozen within a batch).
+    probabilities, so its path does not depend on the batch. Walks are key
+    rows, stepped by `step_keys`, and each path is decoded once. The batch's
+    `first_layer_tables` get rows for its learners and, hop by hop, for the
+    entities its walks enter, so a batch costs what the ids it touches do,
+    whatever the size of the graph. The hops keep their forward pass, which
+    `compute_advantages` and `batch_gradients` reuse with these same `params`.
     """
     if not learners:
         raise ValueError("empty episode batch")
     for learner in learners:
         env.initial_state(learner, hop_budget)  # rejects a non-learner start and an empty budget
-    x = np.array([start_features(env.embeddings, u, env.history_len) for u in learners])
-    current = [env.kg.entity_id(u) for u in learners]
+    key = start_keys(env, learners)
+    tables = first_layer_tables(params, env, np.unique(key[:, 1]), key[:, 0])
     hops, taken = [], []
-    for t in range(hop_budget):
-        asets = env.action_sets(current)
-        hop = hop_forward(params, x, [aset.matrix for aset in asets], np.ones(len(asets), int))
+    for _ in range(hop_budget):
+        tables.fill(env, key[:, 0])  # a state's tails are entities its walk entered before
+        asets = env.action_sets(key[:, 0].tolist())
+        pre = tables.preactivations(key[:, 1], key[:, 0], key[:, 2:])
+        matrices = [aset.matrix for aset in asets]
+        hop = hop_from_preactivation(params, pre, matrices, np.ones(len(asets), int))
+        hop.keys = key
         # a zero-padded row per walk: its running sums are those of its segment
         padded = np.zeros((len(hop.sizes), hop.sizes.max()))
         padded[hop.seg, np.arange(len(hop.probs)) - hop.starts[hop.seg]] = hop.probs
@@ -356,14 +361,11 @@ def sample_episodes(
         hops.append(hop)
         action_ids = np.concatenate([aset.action_ids for aset in asets])[hop.starts + hop.chosen]
         taken.append(action_ids.tolist())
-        current = (action_ids % env.kg.n_ids).tolist()  # the self-loop's tail is the entity
-        if t + 1 < hop_budget:
-            rows = env.action_rows(action_ids)
-            x = step_features(x, np.arange(len(x)), rows, hop.chosen == 0, env.history_len)
+        key = step_keys(key, action_ids, env.kg.n_ids)
     entropy = sum(hop.entropy for hop in hops) / hop_budget
     paths = [Path(u, tuple(map(env.action, walk))) for u, walk in zip(learners, zip(*taken))]
     return [
-        Episode(path, reward(path, spec), float(entropy[i]), hops, i)
+        Episode(path, reward(path, spec), float(entropy[i]), hops, i, env)
         for i, path in enumerate(paths)
     ]
 
@@ -390,7 +392,6 @@ def _batch_hops(episodes: list[Episode]) -> list[Hop]:
         sizes = np.array([h.sizes[i] for h, i in rows])
         segments = [slice(h.starts[i], h.starts[i] + h.sizes[i]) for h, i in rows]
         gathered.append(Hop(
-            np.array([h.features[i] for h, i in rows]),
             np.array([h.hidden[i] for h, i in rows]),
             [h.matrices[i] for h, i in rows],
             np.ones(len(rows), dtype=int),
@@ -401,6 +402,7 @@ def _batch_hops(episodes: list[Episode]) -> list[Hop]:
             np.repeat(np.arange(len(rows)), sizes),
             np.array([h.entropy[i] for h, i in rows]),
             np.array([h.chosen[i] for h, i in rows]),
+            np.array([h.keys[i] for h, i in rows]),
         ))
     return gathered
 
@@ -441,7 +443,10 @@ def batch_gradients(
     G_t - b_t, is also the baseline's error. Each hop is one gradient block:
     the logit gradients are one array over the episodes' segments, and only
     dL/d[rel ; tail] takes a product per episode, with its action matrix.
+    `w1`'s gradient is one product with the hop's state features, gathered
+    from its key rows by `key_features`.
     """
+    env = episodes[0].env
     grads = {key: np.zeros_like(arr) for key, arr in params.items()}
     for hop, adv in zip(_batch_hops(episodes), np.asarray(advantages, dtype=float).T):
         probs, seg = hop.probs, hop.seg
@@ -453,7 +458,7 @@ def batch_gradients(
         ])
         H = hop.hidden
         dh_pre = (ATD @ params["proj"].T + adv[:, None] * params["v_w"]) * (1.0 - H * H)
-        grads["w1"] += dh_pre.T @ hop.features
+        grads["w1"] += dh_pre.T @ key_features(env, hop.keys)
         grads["b1"] += dh_pre.sum(axis=0)
         grads["proj"] += H.T @ ATD
         grads["v_w"] += adv @ H

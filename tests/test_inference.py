@@ -493,9 +493,7 @@ class TestRecommendAll:
         def forbidden(*args, **kwargs):
             raise AssertionError("the search built features")
 
-        for name in ("start_features", "step_features"):
-            monkeypatch.setattr(policy_module, name, forbidden)
-            monkeypatch.setattr(inference, name, forbidden, raising=False)
+        monkeypatch.setattr(policy_module, "key_features", forbidden)
         monkeypatch.setattr(PathEnv, "action_rows", forbidden)
         got, _ = recommend_all(learners, env, params, TRAIN, FIVE_HOPS, n=5)
         assert got == want

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathrec.errors import DataError
+from pathrec.errors import ConfigError, DataError
 from pathrec.kg import EnrollmentSplit
 from pathrec.metrics import (
     MetricsReport,
@@ -110,6 +110,22 @@ class TestEvaluate:
         lists = {0: [C(i) for i in range(1, 11)], 1: [C(2)]}
         run = evaluate(lists, split, k=10)
         assert run.invalid_fraction == pytest.approx(50.0)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
+@pytest.mark.parametrize("entry", ["metrics_at_k", "evaluate", "pop_lists", "mf_baseline"])
+def test_k_that_is_not_an_integer_of_at_least_one_is_config_error(entry, k):
+    # unchecked, 0 and -1 divided by a zero ideal DCG, 2.5 failed to slice, True
+    # served lists of one, and -1 cut each baseline list's last course
+    split = make_split({0: [0, 1], 1: [1]}, {0: [2], 1: [3]})
+    calls = {
+        "metrics_at_k": lambda: metrics_at_k([1, 2, 3], {1, 3}, k),
+        "evaluate": lambda: evaluate({0: [C(2)], 1: [C(3)]}, split, k),
+        "pop_lists": lambda: pop_lists(split, 4, k),
+        "mf_baseline": lambda: mf_baseline(split, 4, factors=2, epochs=1, k=k),
+    }
+    with pytest.raises(ConfigError, match="k must be an integer >= 1"):
+        calls[entry]()
 
 
 class TestPopBaseline:

@@ -19,16 +19,17 @@ from pathrec.policy import (
     compute_advantages,
     feature_size,
     first_layer_tables,
-    hop_forward,
+    hop_from_preactivation,
     init_policy,
+    key_features,
     load_policy,
     policy_forward,
     reinforce_update,
     sample_episode,
     sample_episodes,
     save_policy,
-    start_features,
-    step_features,
+    start_keys,
+    step_keys,
     train_agent,
 )
 from pathrec.schema import ACTION_RELATIONS, SELF_LOOP, EntityRef
@@ -53,7 +54,7 @@ def tiny_env(d=4, seed=1, history=1):
 class TestStateFeatures:
     def test_initial_state_blocks(self):
         env = tiny_env(d=4)
-        x = start_features(env.embeddings, EntityRef("learner", 0), history=1)
+        x = key_features(env, start_keys(env, [EntityRef("learner", 0)]))[0]
         d = 4
         v = env.embeddings.vector(EntityRef("learner", 0))
         np.testing.assert_array_equal(x[:d], v)
@@ -89,18 +90,19 @@ class TestStateFeatures:
     def test_step_features_equal_features_of_the_stepped_state(self, history):
         env = tiny_env(d=3, history=history)
         rng = np.random.default_rng(history)
+        n_ids = env.kg.n_ids
         for learner in env.kg.learners():
             state = env.initial_state(learner, 4)
+            key = start_keys(env, [learner])
             for _ in range(4):
                 aset = env.action_set(state.current)
-                x = state_features(state, env.embeddings, history)
                 for i, action in enumerate(aset.actions):
-                    got = step_features(
-                        x[None, :], np.array([0]), aset.matrix[[i]], np.array([i == 0]), history
-                    )
+                    got = key_features(env, step_keys(key, aset.action_ids[[i]], n_ids))
                     want = state_features(env.step(state, action), env.embeddings, history)
                     np.testing.assert_array_equal(got[0], want)
-                state = env.step(state, aset.actions[int(rng.integers(len(aset.actions)))])
+                j = int(rng.integers(len(aset.actions)))
+                state = env.step(state, aset.actions[j])
+                key = step_keys(key, aset.action_ids[[j]], n_ids)
 
     def test_inverse_relation_feature_negates_forward(self):
         env = tiny_env(d=3)
@@ -138,14 +140,23 @@ class TestFirstLayerTables:
         for row, state in enumerate(states):
             for k, (rel, ent) in enumerate(state.history[:history]):
                 ids[row, k] = ACTION_RELATIONS.index(rel) * kg.n_ids + kg.entity_id(ent)
-        got = first_layer_tables(params, env).preactivations(
-            np.array([s.start.index for s in states]),
-            np.array([kg.entity_id(s.current) for s in states]),
-            ids,
-        )
+        learner = np.array([s.start.index for s in states])
+        entity = np.array([kg.entity_id(s.current) for s in states])
+        got = first_layer_tables(params, env).preactivations(learner, entity, ids)
         features = np.array([state_features(s, env.embeddings, history) for s in states])
         want = features @ params["w1"].T + params["b1"]
         assert np.abs(got - want).max() <= 1e-12
+        # tables set for just the ids the states hold, and filled in two parts
+        tails = ids[ids >= kg.n_ids] % kg.n_ids
+        partial = first_layer_tables(params, env, np.unique(learner), entity[: len(entity) // 2])
+        partial.fill(env, np.concatenate([entity, tails]))
+        got = partial.preactivations(learner, entity, ids)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def hop_of_features(params, X, matrices, runs):
+    """The hop of the states with features X, from the features product."""
+    return hop_from_preactivation(params, X @ params["w1"].T + params["b1"], matrices, runs)
 
 
 class TestPolicyForward:
@@ -201,7 +212,7 @@ class TestPolicyForward:
         # segments of 1 to 12 rows: short ones and ones long enough for numpy's
         # pairwise sums, so the segment sums add in another order than `exp.sum()`
         matrices = [rng.normal(size=(n, 2 * d)) for n in (6, 1, 12, 3, 9, 2, 1, 10, 4)]
-        hop = hop_forward(params, X, matrices, np.ones(len(matrices), dtype=int))
+        hop = hop_of_features(params, X, matrices, np.ones(len(matrices), dtype=int))
         assert hop.starts.tolist() == np.cumsum([0, 6, 1, 12, 3, 9, 2, 1, 10]).tolist()
         assert hop.seg.tolist() == np.repeat(np.arange(9), [len(m) for m in matrices]).tolist()
         assert hop.chosen is None
@@ -212,11 +223,10 @@ class TestPolicyForward:
             np.testing.assert_allclose(hop.probs[rows], probs, rtol=0, atol=1e-12)
             np.testing.assert_allclose(hop.log_probs[rows], logp, rtol=0, atol=1e-12)
             assert hop.entropy[i] == pytest.approx(-np.sum(probs * logp), rel=0, abs=1e-12)
-        np.testing.assert_array_equal(hop.features, X)
 
     def test_runs_of_one_score_as_matrix_vector_products(self):
         # the logits of runs of one are those of `matrix @ query`, bit for bit,
-        # so the distributions are those of that product under hop_forward's
+        # so the distributions are those of that product under hop_from_preactivation's
         # segment softmax
         d, hidden = 5, 16
         params = init_policy(d, AgentConfig(hidden=hidden, seed=4))
@@ -226,7 +236,7 @@ class TestPolicyForward:
             sizes = rng.integers(1, 30, size=int(rng.integers(1, 12)))
             X = rng.normal(size=(len(sizes), feature_size(d, 1))) * 3
             matrices = [rng.normal(size=(n, 2 * d)) * 3 for n in sizes]
-            hop = hop_forward(params, X, matrices, np.ones(len(sizes), dtype=int))
+            hop = hop_of_features(params, X, matrices, np.ones(len(sizes), dtype=int))
             queries = hop.hidden @ params["proj"]
             logits = np.concatenate([m @ q for m, q in zip(matrices, queries)])
             starts = np.cumsum(sizes) - sizes
@@ -244,9 +254,9 @@ class TestPolicyForward:
         runs = np.array([3, 1, 7, 2, 1, 12])
         X = rng.normal(size=(runs.sum(), feature_size(d, 1))) * 3
         matrices = [rng.normal(size=(int(rng.integers(1, 25)), 2 * d)) * 3 for _ in runs]
-        got = hop_forward(params, X, matrices, runs)
+        got = hop_of_features(params, X, matrices, runs)
         per_state = [m for m, r in zip(matrices, runs) for _ in range(r)]
-        want = hop_forward(params, X, per_state, np.ones(len(per_state), dtype=int))
+        want = hop_of_features(params, X, per_state, np.ones(len(per_state), dtype=int))
         assert got.matrices is matrices and got.runs is runs
         for name in ("sizes", "starts", "seg", "hidden"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -342,7 +352,7 @@ class TestSampleEpisode:
                 for got, one in zip(ep.hops, want.hops):
                     rows = slice(got.starts[i], got.starts[i] + len(got.matrices[i]))
                     assert got.chosen[i] == one.chosen[0]
-                    assert got.features[i].tobytes() == one.features[0].tobytes()
+                    assert got.keys[i].tobytes() == one.keys[0].tobytes()
                     np.testing.assert_allclose(got.hidden[i], one.hidden[0], rtol=0, atol=1e-12)
                     np.testing.assert_allclose(got.probs[rows], one.probs, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(
@@ -571,21 +581,57 @@ class TestSinglePass:
         return kg, table, AgentConfig(epochs=3, hidden=8, batch_episodes=6, seed=2)
 
     def test_one_forward_pass_per_hop_of_a_batch(self, monkeypatch):
+        # per batch: one build of the first-layer tables, then per hop one read
+        # of the stacked walks' pre-activations and one pass from them
         kg, table, cfg = self._setup()
         calls = []
-        real = policy_module.hop_forward
+        real_tables = policy_module.first_layer_tables
+        real_pre = policy_module.FirstLayer.preactivations
+        real_hop = policy_module.hop_from_preactivation
 
-        def counting(params, features, matrices, runs):
-            calls.append(len(features))
-            return real(params, features, matrices, runs)
+        def counting_tables(*args):
+            calls.append("tables")
+            return real_tables(*args)
+
+        def counting_pre(tables, learner, entity, history):
+            calls.append(("pre", len(entity)))
+            return real_pre(tables, learner, entity, history)
+
+        def counting_hop(params, pre, matrices, runs):
+            calls.append(("hop", len(pre)))
+            return real_hop(params, pre, matrices, runs)
 
         def forbidden(*args):
             raise AssertionError("training ran the one-state policy_forward")
 
-        monkeypatch.setattr(policy_module, "hop_forward", counting)
+        monkeypatch.setattr(policy_module, "first_layer_tables", counting_tables)
+        monkeypatch.setattr(policy_module.FirstLayer, "preactivations", counting_pre)
+        monkeypatch.setattr(policy_module, "hop_from_preactivation", counting_hop)
         monkeypatch.setattr(policy_module, "policy_forward", forbidden)
         train_agent(kg, table, cfg, BINARY)
-        assert calls == ([6] * cfg.hop_budget() + [2] * cfg.hop_budget()) * cfg.epochs
+        budget = cfg.hop_budget()
+        batches = [["tables"] + [("pre", n), ("hop", n)] * budget for n in (6, 2)]
+        assert calls == (batches[0] + batches[1]) * cfg.epochs
+
+    def test_a_batch_sets_the_table_rows_of_only_the_ids_it_touches(self, monkeypatch):
+        # a batch's first-layer work grows with its walks, not with the graph
+        kg, env, params, spec = walk_setup("generated", 1)
+        built = []
+        real = policy_module.first_layer_tables
+
+        def keeping(params, env, learners, entities):
+            built.append((learners, real(params, env, learners, entities)))
+            return built[-1][1]
+
+        monkeypatch.setattr(policy_module, "first_layer_tables", keeping)
+        learners = kg.learners()[2:4] * 2
+        rngs = [np.random.default_rng(i) for i in range(len(learners))]
+        episodes = sample_episodes(learners, env, params, spec, 4, rngs)
+        ((indices, tables),) = built
+        assert indices.tolist() == [2, 3]
+        entered = {int(e) for hop in episodes[0].hops for e in hop.keys[:, 0]}
+        assert set(np.flatnonzero(tables.filled).tolist()) == entered
+        assert len(entered) < kg.n_ids
 
     def test_one_baseline_product_per_hop_of_a_batch(self, monkeypatch):
         kg, table, cfg = self._setup()
@@ -608,7 +654,9 @@ class TestSinglePass:
             raise AssertionError("the update ran a forward pass")
 
         monkeypatch.setattr(policy_module, "policy_forward", forbidden)
-        monkeypatch.setattr(policy_module, "hop_forward", forbidden)
+        monkeypatch.setattr(policy_module, "first_layer_tables", forbidden)
+        monkeypatch.setattr(policy_module.FirstLayer, "preactivations", forbidden)
+        monkeypatch.setattr(policy_module, "hop_from_preactivation", forbidden)
         for params, episodes, _ in batches:
             advantages = compute_advantages(params, episodes, gamma=0.9)
             batch_gradients(params, episodes, advantages, 0.05)
@@ -625,14 +673,20 @@ class TestSinglePass:
         updates = []
 
         def checking(episodes, params, opt, cfg):
-            hops = episodes[0].hops
+            hops, env = episodes[0].hops, episodes[0].env
             assert all(ep.hops is hops for ep in episodes)
             assert [ep.row for ep in episodes] == list(range(len(episodes)))
+            # the batch's tables, set hop by hop as the rollout set them
+            keys = hops[0].keys
+            tables = first_layer_tables(params, env, np.unique(keys[:, 1]), keys[:, 0])
             for hop in hops:
-                fresh = hop_forward(params, hop.features, hop.matrices, hop.runs)
+                tables.fill(env, hop.keys[:, 0])
+                pre = tables.preactivations(hop.keys[:, 1], hop.keys[:, 0], hop.keys[:, 2:])
+                fresh = hop_from_preactivation(params, pre, hop.matrices, hop.runs)
                 for name in ("hidden", "probs", "log_probs", "starts", "seg", "entropy"):
                     assert getattr(hop, name).tobytes() == getattr(fresh, name).tobytes(), name
-                for i, (x, matrix) in enumerate(zip(hop.features, hop.matrices)):
+                features = key_features(env, hop.keys)
+                for i, (x, matrix) in enumerate(zip(features, hop.matrices)):
                     probs, logp, h = policy_forward(params, x, matrix)
                     rows = slice(hop.starts[i], hop.starts[i] + len(matrix))
                     np.testing.assert_allclose(hop.probs[rows], probs, rtol=0, atol=1e-12)
