@@ -80,13 +80,11 @@ def _reward_spec(cfg: RunConfig, split, table) -> RewardSpec:
     )
 
 
-def _check_embedding(cfg: RunConfig, table, emb_cfg, graph) -> None:
+def _check_embedding(cfg: RunConfig, emb_cfg) -> None:
     if emb_cfg.d != cfg.embed.d:
         raise CheckpointMismatchError(
             f"embedding checkpoint has d={emb_cfg.d}, config asks embed.d={cfg.embed.d}"
         )
-    if not table.matches(graph):
-        raise CheckpointMismatchError("embedding vocab sizes do not match the graph")
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
@@ -140,7 +138,7 @@ def cmd_train_embed(cfg: RunConfig, args) -> int:
 def cmd_train_agent(cfg: RunConfig, args) -> int:
     graph, split = _load_graph_and_split(cfg)
     table, emb_cfg = load_embeddings(_out(cfg, f"embeddings_s{args.seed}.emb"))
-    _check_embedding(cfg, table, emb_cfg, graph)
+    _check_embedding(cfg, emb_cfg)
     train_graph = kgmod.training_graph(graph, split)
     agent_cfg = cfg.agent_config(args.seed)
     spec = _reward_spec(cfg, split, table)
@@ -158,7 +156,7 @@ def cmd_train_agent(cfg: RunConfig, args) -> int:
 def cmd_recommend(cfg: RunConfig, args) -> int:
     graph, split = _load_graph_and_split(cfg)
     table, emb_cfg = load_embeddings(_out(cfg, f"embeddings_s{args.seed}.emb"))
-    _check_embedding(cfg, table, emb_cfg, graph)
+    _check_embedding(cfg, emb_cfg)
     params, agent_cfg, d = load_policy(_out(cfg, f"policy_s{args.seed}.pol"))
     if d != table.d:
         raise CheckpointMismatchError(

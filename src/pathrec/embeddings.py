@@ -66,11 +66,16 @@ class EmbedConfig:
 
 
 class EmbeddingTable:
-    """One float64 vector per entity and per forward relation."""
+    """One float64 vector per entity and per forward relation: the rows of `W`,
+    entities by type in ENTITY_TYPES order (a matching graph's id order), then
+    relations in RELATIONS order. `entity` and `relation` are views of `W`."""
 
     def __init__(self, entity: dict[str, np.ndarray], relation: dict[str, np.ndarray], d: int):
-        self.entity = entity
-        self.relation = relation
+        rows = [*(entity[etype] for etype in ENTITY_TYPES), [relation[rel] for rel in RELATIONS]]
+        self.W = np.concatenate(rows)
+        offsets = np.cumsum([len(entity[etype]) for etype in ENTITY_TYPES])
+        self.entity = dict(zip(ENTITY_TYPES, np.split(self.W[: offsets[-1]], offsets[:-1])))
+        self.relation = dict(zip(RELATIONS, self.W[offsets[-1] :]))
         self.d = d
         self._zero = np.zeros(d)
 
@@ -91,30 +96,27 @@ class EmbeddingTable:
         v_h = self.vector(head)
         return float(np.dot(v_h + self.relation[relation], self.vector(tail)))
 
-    def score_edges(self, head: EntityRef, edges) -> np.ndarray:
-        """Vectorized `score` over an adjacency run of (relation, tail) edges."""
-        v_h = self.vector(head)
-        out = np.empty(len(edges))
-        i = 0
-        while i < len(edges):
-            rel = edges[i][0]
-            j = i
-            while j < len(edges) and edges[j][0] == rel:
-                j += 1
-            t_type = edges[i][1].entity_type
-            tails = self.entity[t_type][[e[1].index for e in edges[i:j]]]
-            if is_forward(rel):
-                out[i:j] = tails @ (v_h + self.relation[rel])
+    def score_edges(self, head_id: int, action_ids: np.ndarray) -> np.ndarray:
+        """Vectorized `score` of the edges of sorted action ids `action_ids`
+        (see `KnowledgeGraph`) out of the entity of id `head_id`: one product
+        per relation run."""
+        n = len(self.W) - len(RELATIONS)
+        rel, tail = np.divmod(action_ids, n)
+        rels, v_h, out = rel.tolist(), self.W[head_id], np.empty(len(action_ids))
+        starts = [i for i in range(len(rels)) if not i or rels[i] != rels[i - 1]]
+        for s, e in zip(starts, [*starts[1:], len(rels)]):
+            # relation id 2k + 1 is RELATIONS[k], and 2k + 2 its inverse
+            k, inverse = divmod(rels[s] - 1, 2)
+            tails, fwd = self.W[tail[s:e]], self.W[n + k]
+            if inverse:
+                out[s:e] = tails @ v_h + float(fwd @ v_h)
             else:
-                fwd = self.relation[forward_name(rel)]
-                out[i:j] = tails @ v_h + float(fwd @ v_h)
-            i = j
+                out[s:e] = tails @ (v_h + fwd)
         return out
 
     def check_finite(self, source: str = "embedding table") -> None:
-        for arr in (*self.entity.values(), *self.relation.values()):
-            if not np.all(np.isfinite(arr)):
-                raise DataError(f"{source} contains non-finite values")
+        if not np.all(np.isfinite(self.W)):
+            raise DataError(f"{source} contains non-finite values")
 
     def matches(self, kg: KnowledgeGraph) -> bool:
         return all(
@@ -208,9 +210,7 @@ def train_embeddings(
     triples = _canonical_triples(kg_train)
     if not len(triples):
         raise DataError("training graph has no triples")
-    # W: the entity rows in id order, then the relation rows (both in
-    # init_embeddings' order); shift[r] = first rows of r's head and tail types
-    W = np.concatenate([*table.entity.values(), [*table.relation.values()]])
+    # shift[r] = the first rows of r's head and tail types in table.W
     offset = np.array(kg_train.offsets)
     types = np.array([[ENTITY_TYPES.index(e) for e in relation_types(rel)] for rel in RELATIONS])
     shift, tail_sizes = offset[types], np.diff(offset)[types[:, 1]]
@@ -220,7 +220,7 @@ def train_embeddings(
     # multi-MB temporaries back to the OS, and faulting them in again cost
     # about 150,000 minor page faults per call at d=100 (under 3,000 with these).
     scratch = _scratch(min(cfg.batch_size, len(triples)), m, cfg.d)
-    losses: list[float] = []
+    W, losses = table.W, []
     for epoch in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, 3, epoch])
         order = rng.permutation(len(triples))
@@ -234,8 +234,8 @@ def train_embeddings(
             total += loss
             W = opt.step({"W": W}, {"W": grad})["W"]
         losses.append(total / len(triples))
-    entity = dict(zip(ENTITY_TYPES, np.split(W[: offset[-1]], offset[1:-1])))
-    return EmbeddingTable(entity, dict(zip(RELATIONS, W[offset[-1] :])), cfg.d), losses
+    table.W[:] = W
+    return table, losses
 
 
 # -- checkpoint I/O ------------------------------------------------------

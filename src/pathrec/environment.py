@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ConfigError, open_text
+from .errors import CheckpointMismatchError, ConfigError, check_count, open_text
 from .kg import Edge as Action, KnowledgeGraph  # Action: (relation name, tail entity)
-from .schema import ACTION_RELATIONS, ENTITY_TYPES, SELF_LOOP, EntityRef
+from .schema import ACTION_RELATIONS, SELF_LOOP, EntityRef
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,7 @@ class PathEnv:
 
     Action sets depend only on the entity being stood on, so they are
     cached per entity id; the environment is read-only and shareable.
-    `action` turns the id of an action of a built action set back into
-    that set's `Action`, so decoded paths share the sets' tuples.
+    `action` turns an action id back into its `Action` through the graph.
     """
 
     def __init__(
@@ -138,26 +137,26 @@ class PathEnv:
         max_actions: int = 250,
         history_len: int = 1,
     ):
-        if max_actions < 1:
-            raise ConfigError("max_actions must be >= 1")
-        if history_len < 0:
-            raise ConfigError("history_len must be >= 0")
+        check_count(max_actions, "max_actions")
+        check_count(history_len, "history_len", least=0)
+        if not embeddings.matches(kg):
+            raise CheckpointMismatchError("embedding vocab sizes do not match the graph")
         self.kg = kg
         self.embeddings = embeddings
         self.max_actions = max_actions
         self.history_len = history_len
         self._action_sets: dict[int, ActionSet] = {}
-        self._actions_by_id: dict[int, Action] = {}
         # an action's row is [relation feature vector ; tail vector]: one row per
         # relation id, and one per entity id (the policy's first-layer tables
         # read them too)
         self.relation_rows = np.array([
             embeddings.feature_relation_vector(rel) for rel in ACTION_RELATIONS
         ])
-        self.entity_rows = np.concatenate([embeddings.entity[t] for t in ENTITY_TYPES])
+        self.entity_rows = embeddings.W[: kg.n_ids]
 
     def action(self, action_id: int) -> Action:
-        return self._actions_by_id[action_id]
+        rel, tail = divmod(action_id, self.kg.n_ids)
+        return ACTION_RELATIONS[rel], self.kg.entity_of(tail)
 
     def action_rows(self, action_ids: np.ndarray) -> np.ndarray:
         """The `ActionSet.matrix` rows of the given actions: one gather of
@@ -181,20 +180,14 @@ class PathEnv:
 
     def action_set(self, entity: EntityRef) -> ActionSet:
         entity_id = self.kg.entity_id(entity)
-        cached = self._action_sets.get(entity_id)
-        if cached is not None:
-            return cached
+        if entity_id in self._action_sets:
+            return self._action_sets[entity_id]
         edge_ids = self.kg.edge_ids(entity_id)
-        edges = self.kg.decode(edge_ids)
-        if edges:
-            scores = self.embeddings.score_edges(entity, edges)
-            kept = np.argsort(-scores, kind="stable")[: self.max_actions]
-            edge_ids, edges = edge_ids[kept], [edges[i] for i in kept.tolist()]
-        actions = ((SELF_LOOP, entity), *edges)
-        ids = np.concatenate(([entity_id], edge_ids))  # the self_loop's relation id is 0
-        aset = self._action_sets[entity_id] = ActionSet(actions, self.action_rows(ids), ids)
-        self._actions_by_id.update(zip(ids.tolist(), actions))
-        return aset
+        scores = self.embeddings.score_edges(entity_id, edge_ids)
+        kept = edge_ids[np.argsort(-scores, kind="stable")[: self.max_actions]]
+        ids = np.concatenate(([entity_id], kept))  # the self_loop's relation id is 0
+        self._action_sets[entity_id] = ActionSet(self.kg.decode(ids), self.action_rows(ids), ids)
+        return self._action_sets[entity_id]
 
     def actions(self, state: EnvState) -> tuple[Action, ...]:
         """Self_loop first, then pruned outgoing edges by score descending."""

@@ -26,10 +26,10 @@ class DivergenceError(PathrecError):
     """Training produced a non-finite loss or gradient."""
 
 
-def check_count(value, name: str) -> None:
-    """Raise ConfigError unless `value` is an integer >= 1; a bool is not one."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value, name: str, least: int = 1) -> None:
+    """Raise ConfigError unless `value` is an integer >= `least`; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @contextmanager

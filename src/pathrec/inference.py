@@ -192,7 +192,7 @@ def search_block(
         pre = tables.preactivations(key[:, 1], entity, key[:, 2:])
         n_kept, kept_state, kept_slot, kept_lp = _expand(params, pre, asets, runs, width)
         # the kept actions' ids, gathered from the runs' action sets
-        set_sizes = np.array([len(aset.actions) for aset in asets])
+        set_sizes = np.array([len(aset.action_ids) for aset in asets])
         at = np.repeat(np.cumsum(set_sizes) - set_sizes, runs)[kept_state] + kept_slot
         kept_id = np.concatenate([aset.action_ids for aset in asets])[at]
 

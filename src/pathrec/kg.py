@@ -8,7 +8,6 @@ canonical, which makes ingestion and serialization byte-reproducible.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,8 @@ Edge = tuple[str, EntityRef]  # (relation name, neighbor)
 class KnowledgeGraph:
     """Immutable typed graph over dense per-type vocabularies.
 
-    `vocab` maps entity type -> list of raw string IDs (position = dense
-    index). `edges` holds forward triples only, as per-relation sets of
+    `vocab` maps entity type -> list of distinct raw string IDs (position =
+    dense index). `edges` holds forward triples only, as per-relation sets of
     (head index, tail index); inverse triples are implied and materialized
     in the adjacency.
 
@@ -54,6 +53,10 @@ class KnowledgeGraph:
         self._ids = {
             etype: {raw: i for i, raw in enumerate(ids)} for etype, ids in self.vocab.items()
         }
+        for etype, ids in self._ids.items():
+            if len(ids) < len(self.vocab[etype]):
+                raise DataError(f"the {etype} vocabulary lists a raw id twice")
+        self._refs = [EntityRef(t, i) for t, ids in self.vocab.items() for i in range(len(ids))]
         self.offsets = np.cumsum([0, *map(len, self.vocab.values())]).tolist()
         self.n_ids = self.offsets[-1]
         self._first_id = dict(zip(ENTITY_TYPES, self.offsets))
@@ -109,10 +112,9 @@ class KnowledgeGraph:
         return self._first_id[ref.entity_type] + ref.index
 
     def entity_of(self, entity_id: int) -> EntityRef:
-        if not 0 <= entity_id < self.n_ids:
+        if not 0 <= entity_id < self.n_ids:  # a negative list index would alias
             raise KeyError(f"unknown entity id: {entity_id}")
-        etype = ENTITY_TYPES[bisect.bisect_right(self.offsets, entity_id) - 1]
-        return EntityRef(etype, entity_id - self._first_id[etype])
+        return self._refs[entity_id]
 
     def course_index(self, entity_ids: np.ndarray) -> np.ndarray:
         """Each id's course index, or -1 where it is not a course."""
@@ -125,8 +127,8 @@ class KnowledgeGraph:
 
     def decode(self, action_ids: np.ndarray) -> tuple[Edge, ...]:
         """The (relation, tail) edge of each action id."""
-        n = self.n_ids
-        return tuple((ACTION_RELATIONS[a // n], self.entity_of(a % n)) for a in action_ids.tolist())
+        n, refs = self.n_ids, self._refs
+        return tuple((ACTION_RELATIONS[a // n], refs[a % n]) for a in action_ids.tolist())
 
     def neighbors(self, ref: EntityRef) -> tuple[Edge, ...]:
         """Outgoing edges of `ref`, sorted by (relation name, tail index).

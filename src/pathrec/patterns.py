@@ -122,13 +122,11 @@ def render_path(path: Path, kg: KnowledgeGraph) -> str:
 def render_path_dot(path: Path, kg: KnowledgeGraph) -> str:
     """The same path as a DOT digraph, one node per visited entity."""
     lines = ["digraph explanation {", "  rankdir=LR;"]
-    lines.append(f'  n0 [label="{kg.raw_id(path.start)}\\n({path.start.entity_type})"];')
-    prev = "n0"
-    for i, (rel, ent) in enumerate(path.stripped().hops, start=1):
-        name = f"n{i}"
-        lines.append(f'  {name} [label="{kg.raw_id(ent)}\\n({ent.entity_type})"];')
-        lines.append(f'  {prev} -> {name} [label="{RELATION_GLOSS[rel]}"];')
-        prev = name
+    for i, (rel, ent) in enumerate([(None, path.start), *path.stripped().hops]):
+        raw = kg.raw_id(ent).replace("\\", "\\\\").replace('"', '\\"')  # quoted in DOT
+        lines.append(f'  n{i} [label="{raw}\\n({ent.entity_type})"];')
+        if i:
+            lines.append(f'  n{i - 1} -> n{i} [label="{RELATION_GLOSS[rel]}"];')
     lines.append("}")
     return "\n".join(lines)
 

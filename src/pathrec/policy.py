@@ -332,7 +332,7 @@ def sample_episodes(
 
     Walk i draws each action by one `rngs[i].random()` against its cumulative
     probabilities, so its path does not depend on the batch. Walks are key
-    rows, stepped by `step_keys`, and each path is decoded once. The batch's
+    rows, stepped by `step_keys`, and the paths are decoded once. The batch's
     `first_layer_tables` get rows for its learners and, hop by hop, for the
     entities its walks enter, so a batch costs what the ids it touches do,
     whatever the size of the graph. The hops keep their forward pass, which
@@ -360,10 +360,11 @@ def sample_episodes(
         hop.chosen = np.minimum(below, hop.sizes - 1)
         hops.append(hop)
         action_ids = np.concatenate([aset.action_ids for aset in asets])[hop.starts + hop.chosen]
-        taken.append(action_ids.tolist())
+        taken.append(action_ids)
         key = step_keys(key, action_ids, env.kg.n_ids)
     entropy = sum(hop.entropy for hop in hops) / hop_budget
-    paths = [Path(u, tuple(map(env.action, walk))) for u, walk in zip(learners, zip(*taken))]
+    walks = zip(*map(env.kg.decode, taken))  # one decode per hop, regrouped by walk
+    paths = [Path(u, walk) for u, walk in zip(learners, walks)]
     return [
         Episode(path, reward(path, spec), float(entropy[i]), hops, i, env)
         for i, path in enumerate(paths)

@@ -11,6 +11,7 @@ those walks and per-step updates, beam results against exhaustive
 action-sequence enumeration and against a beam search that expands every
 prefix on its own, candidate ranking against a dict of each course's
 best (Path, score) pair, action-set matrices against a row-by-row build,
+action-set scores against a loop over decoded (relation, tail) edges,
 the graph's CSR adjacency against a dict of sorted edge tuples per head, and
 the latent-factor baseline's row scatter against `np.add.at`.
 """
@@ -30,7 +31,8 @@ from pathrec.kg import KnowledgeGraph
 from pathrec.optim import Adam, softplus, stable_sigmoid
 from pathrec.policy import baseline, feature_size, init_policy, policy_forward
 from pathrec.schema import (
-    ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, inverse_of, relation_types,
+    ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, forward_name, inverse_of, is_forward,
+    relation_types,
 )
 
 
@@ -399,6 +401,29 @@ def reference_action_matrix(table, actions):
         matrix[i, :d] = table.feature_relation_vector(rel)
         matrix[i, d:] = table.vector(tail)
     return matrix
+
+
+def reference_score_edges(table, head, edges):
+    """`EmbeddingTable.score_edges` over decoded (relation, tail) edges of
+    `head`, as sorted by `KnowledgeGraph.neighbors`: one product per relation
+    run, with tail rows gathered from the per-type tensors."""
+    v_h = table.vector(head)
+    out = np.empty(len(edges))
+    i = 0
+    while i < len(edges):
+        rel = edges[i][0]
+        j = i
+        while j < len(edges) and edges[j][0] == rel:
+            j += 1
+        t_type = edges[i][1].entity_type
+        tails = table.entity[t_type][[e[1].index for e in edges[i:j]]]
+        if is_forward(rel):
+            out[i:j] = tails @ (v_h + table.relation[rel])
+        else:
+            fwd = table.relation[forward_name(rel)]
+            out[i:j] = tails @ v_h + float(fwd @ v_h)
+        i = j
+    return out
 
 
 def reference_beam_search(learner, env, params, beam_widths):

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from pathrec.cli import main
+from pathrec.embeddings import EmbedConfig, init_embeddings, save_embeddings
 
-from conftest import GOLDEN_SCORE_ABS, put_bad_byte
+from conftest import GOLDEN_SCORE_ABS, make_tiny_kg, put_bad_byte
 
 SMALL_CONFIG = """
 data.dir = {root}/data
@@ -251,6 +252,18 @@ def test_renamed_embedding_type_exits_4(pipeline, tmp_path):
     assert data.count(b"learner") == 1
     emb.write_bytes(data.replace(b"learner", b"learnex"))
     assert main(["recommend", "--config", cfg]) == 4
+
+
+@pytest.mark.parametrize("command", ["train-agent", "recommend"])
+def test_embeddings_of_another_graph_exit_4(pipeline, tmp_path, capsys, command):
+    # d matches the config; only the environment compares the table with the graph
+    root, _cfg = pipeline
+    out, cfg = _copy_run(root, tmp_path, ("graph.kg", "split.tsv", "policy_s0.pol"))
+    emb_cfg = EmbedConfig(d=8)
+    save_embeddings(init_embeddings(make_tiny_kg(), emb_cfg), str(out / "embeddings_s0.emb"),
+                    emb_cfg)
+    assert main([command, "--config", cfg]) == 4
+    assert "do not match the graph" in capsys.readouterr().err
 
 
 def test_corrupt_policy_config_echo_exits_5(pipeline, tmp_path):

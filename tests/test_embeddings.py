@@ -19,7 +19,7 @@ from pathrec.embeddings import (
 )
 from pathrec.errors import CheckpointMismatchError, ConfigError, DataError, DivergenceError
 from pathrec.kg import KnowledgeGraph
-from pathrec.schema import EntityRef, relation_types
+from pathrec.schema import ENTITY_TYPES, EntityRef, relation_types
 from pathrec.synthetic import SynthConfig, generate
 
 from conftest import DESK_EMBED, flip_bit, make_tiny_kg, put_bad_byte
@@ -35,6 +35,9 @@ def manual_table():
         "course": np.array([[1.0, 1.0], [0.0, 0.0]]),
     }
     relation = {"enrolled": np.array([0.0, 1.0])}
+    # the table holds every entity type and relation: the rest are empty or zero
+    entity.update({etype: np.zeros((0, 2)) for etype in ENTITY_TYPES if etype not in entity})
+    relation.update({rel: np.zeros(2) for rel in RELATIONS if rel not in relation})
     return EmbeddingTable(entity, relation, d=2)
 
 
@@ -117,7 +120,7 @@ class TestScore:
         table = init_embeddings(tiny_kg, EmbedConfig(d=6, seed=2))
         c = EntityRef("course", 2)
         edges = tiny_kg.neighbors(c)
-        batch = table.score_edges(c, edges)
+        batch = table.score_edges(tiny_kg.entity_id(c), tiny_kg.edge_ids(tiny_kg.entity_id(c)))
         for (rel, tail), got in zip(edges, batch):
             assert got == pytest.approx(table.score(c, rel, tail))
 

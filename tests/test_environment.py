@@ -9,13 +9,14 @@ from pathrec.environment import (
     load_pattern_whitelist,
     reward,
 )
-from pathrec.errors import ConfigError, DataError
+from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
 from pathrec.kg import KnowledgeGraph
+from pathrec.policy import AgentConfig, train_agent
 from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
 from conftest import make_tiny_kg, put_bad_byte
-from oracles import reference_action_matrix
+from oracles import reference_action_matrix, reference_adjacency, reference_score_edges
 
 L = lambda i: EntityRef("learner", i)
 C = lambda i: EntityRef("course", i)
@@ -69,6 +70,29 @@ class TestInitialState:
     def test_zero_budget_rejected(self, tiny_env):
         with pytest.raises(ValueError):
             tiny_env.initial_state(L(0), 0)
+
+
+class TestConstruction:
+    def test_a_table_of_another_graph_is_rejected(self, tiny_kg, synth_kg):
+        # the table has more rows than the graph has entities: without the
+        # check, both would run and read other entities' rows
+        table = init_embeddings(synth_kg, EmbedConfig(d=6, seed=1))
+        with pytest.raises(CheckpointMismatchError, match="do not match the graph"):
+            PathEnv(tiny_kg, table)
+        cfg = AgentConfig(epochs=1, hidden=8, batch_episodes=8)
+        with pytest.raises(CheckpointMismatchError, match="do not match the graph"):
+            train_agent(tiny_kg, table, cfg, BINARY)
+
+    @pytest.mark.parametrize("setting", [
+        {"max_actions": 0}, {"max_actions": 2.5}, {"max_actions": True},
+        {"history_len": -1}, {"history_len": 1.5}, {"history_len": True},
+    ])
+    def test_bad_count_is_config_error(self, tiny_kg, setting):
+        # without the check, max_actions=2.5 fails as a bare TypeError at the
+        # first action set, and True is taken as 1
+        table = init_embeddings(tiny_kg, EmbedConfig(d=6, seed=1))
+        with pytest.raises(ConfigError, match="must be an integer"):
+            PathEnv(tiny_kg, table, **setting)
 
 
 class TestActions:
@@ -131,7 +155,7 @@ class TestActionIds:
             kg = make_tiny_kg(with_school=graph == "school")
         table = init_embeddings(kg, EmbedConfig(d=5, seed=3))
         env = PathEnv(kg, table, max_actions=max_actions, history_len=1)
-        action_of_id = {}
+        action_of_id, adjacency = {}, reference_adjacency(kg)
         for etype, raws in kg.vocab.items():
             for index in range(len(raws)):
                 entity = EntityRef(etype, index)
@@ -146,6 +170,13 @@ class TestActionIds:
                     tail for _rel, tail in aset.actions
                 ]
                 assert kg.entity_id(entity) == tails[0]
+                row = kg.edge_ids(kg.entity_id(entity))
+                want = reference_score_edges(table, entity, adjacency.get(entity, ()))
+                kept = np.argsort(-want, kind="stable")[:max_actions]
+                assert (
+                    np.array_equal(table.score_edges(kg.entity_id(entity), row), want)
+                    and np.array_equal(aset.action_ids[1:], row[kept])
+                )
                 for i, action in zip(aset.action_ids.tolist(), aset.actions):
                     assert action_of_id.setdefault(i, action) == action
         # equal ids are equal actions, and equal actions equal ids

@@ -385,6 +385,13 @@ class TestSerialization:
         with pytest.raises(DataError, match=r"g\.kg: not UTF-8"):
             load_graph(put_bad_byte(path, 30))
 
+    def test_repeated_raw_id_is_data_error(self, tiny_kg, tmp_path):
+        # accepted, learner 0's raw id would look up learner 1, and its
+        # recommendation lines would load as learner 1's
+        path = self._corrupt(tiny_kg, tmp_path, "e\tu0\ne\tu1\n", "e\tu1\ne\tu1\n")
+        with pytest.raises(DataError, match="learner vocabulary lists a raw id twice"):
+            load_graph(path)
+
     def test_short_section_body_is_data_error(self, tiny_kg, tmp_path):
         path = tmp_path / "g.kg"
         save_graph(tiny_kg, str(path))

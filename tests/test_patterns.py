@@ -4,6 +4,7 @@ import pytest
 
 from pathrec.environment import Path
 from pathrec.errors import DataError
+from pathrec.kg import KnowledgeGraph
 from pathrec.patterns import (
     PathPattern,
     enumerate_patterns,
@@ -115,6 +116,13 @@ class TestRendering:
         assert dot.rstrip().endswith("}")
         assert 'label="also_taken_by"' in dot
         assert dot.count("->") == 3
+
+    def test_dot_labels_escape_quotes_and_backslashes(self):
+        # unescaped, u"1 ends its label early and c\1 reads as a DOT escape
+        kg = KnowledgeGraph({"learner": ['u"1'], "course": ["c\\1"]}, {"enrolled": {(0, 0)}})
+        dot = render_path_dot(Path(L(0), (("enrolled", C(0)),)), kg)
+        assert '  n0 [label="u\\"1\\n(learner)"];' in dot.splitlines()
+        assert '  n1 [label="c\\\\1\\n(course)"];' in dot.splitlines()
 
     def test_csv_and_block(self, tmp_path):
         rows = frequency_report([SHARED, SHARED, TEACHER])
