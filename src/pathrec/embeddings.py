@@ -9,6 +9,7 @@ tails corrupted uniformly within their entity type.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass
@@ -55,8 +56,8 @@ class EmbedConfig:
             raise ConfigError("seed must be non-negative")
         if self.d <= 0:
             raise ConfigError("embedding dimension d must be positive")
-        if not self.learning_rate >= 0:  # also rejects NaN
-            raise ConfigError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < math.inf:  # also rejects NaN
+            raise ConfigError("learning_rate must be finite and non-negative")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.negatives_per_positive <= 0 or self.batch_size <= 0:

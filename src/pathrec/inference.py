@@ -174,11 +174,11 @@ def search_block(
     """
     if any(w < 1 for w in beam_widths):
         raise ConfigError("beam widths must be >= 1")
-    for learner in learners:
-        env.initial_state(learner, len(beam_widths))  # rejects a non-learner and no widths
     if not learners:
         return []
     key = start_keys(env, learners)  # the rows are kept sorted
+    if not beam_widths:
+        raise ValueError("beam search needs at least one width")
     order = np.lexsort(key.T[::-1])
     key = key[order]
     state_of = np.argsort(order)  # each prefix's state; prefix b is learner b's

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .kg import KnowledgeGraph
 from .optim import Adam
-from .schema import EntityRef
+from .schema import ENTITY_TYPES, EntityRef
 
 POL_MAGIC = "UPGPR-POL v1"
 
@@ -64,15 +64,17 @@ class AgentConfig:
             raise ConfigError("count and seed settings must be integers")
         if self.max_hops_eval not in (3, 4, 5):
             raise ConfigError("max_hops_eval must be 3, 4 or 5")
-        if self.epochs < 0 or not self.learning_rate >= 0:  # also rejects NaN
-            raise ConfigError("epochs and learning_rate must be non-negative")
+        if self.epochs < 0 or not 0 <= self.learning_rate < math.inf:  # also rejects NaN
+            raise ConfigError("epochs must be non-negative, and learning_rate finite "
+                              "and non-negative")
         positive = (
             self.episodes_per_learner, self.hidden, self.batch_episodes, self.max_actions,
         )
         if any(v <= 0 for v in positive):
             raise ConfigError("episode, width and batch settings must be positive")
-        if self.history < 0 or self.seed < 0 or not self.entropy_weight >= 0:
-            raise ConfigError("history, seed and entropy_weight must be non-negative")
+        if self.history < 0 or self.seed < 0 or not 0 <= self.entropy_weight < math.inf:
+            raise ConfigError("history, seed and entropy_weight must be non-negative, "
+                              "and entropy_weight finite")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
         if self.optimizer != "adam":
@@ -109,10 +111,20 @@ def init_policy(d: int, cfg: AgentConfig) -> dict[str, np.ndarray]:
 def start_keys(env: PathEnv, learners: list[EntityRef]) -> np.ndarray:
     """The key rows of walks that start at `learners`. A state's key row is its
     entity id, its learner index, and the ids of the last H actions it took,
-    most recent first, with -1 before the first hop."""
+    most recent first, with -1 before the first hop.
+
+    As `PathEnv.initial_state` does, it raises TypeError for a start that is
+    not a learner and KeyError for one the graph does not hold, once for the
+    whole list."""
+    other = {u.entity_type for u in learners} - {"learner"}
+    if other:
+        raise TypeError(f"episodes start at a learner, got {', '.join(sorted(other))}")
     key = np.full((len(learners), 2 + env.history_len), -1, dtype=np.intp)
-    key[:, 0] = [env.kg.entity_id(u) for u in learners]
     key[:, 1] = [u.index for u in learners]
+    unknown = (key[:, 1] < 0) | (key[:, 1] >= env.kg.n_entities("learner"))
+    if unknown.any():
+        raise KeyError(f"unknown entity: {learners[int(np.argmax(unknown))]}")
+    key[:, 0] = key[:, 1] + env.kg.offsets[ENTITY_TYPES.index("learner")]
     return key
 
 
@@ -324,13 +336,85 @@ class Episode:
         return [Step(x, h.matrices[i], int(h.chosen[i])) for x, h in zip(features, self.hops)]
 
 
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)  # PCG64's 128-bit multiplier (high, low)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each a[i] * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(hi, lo, b_hi, b_lo):
+    total = lo + b_lo
+    return hi + b_hi + (total < lo), total
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    m_hi, m_lo = _PCG_MULT
+    return _add128(_mulhi64(lo, m_lo) + hi * m_lo + lo * m_hi, lo * m_lo, inc_hi, inc_lo)
+
+
+def walk_draws(entropy_rows: np.ndarray, n: int) -> np.ndarray:
+    """Row i is `np.random.default_rng(entropy_rows[i]).random(n)` bit for bit,
+    where a row lists a seed's 32-bit words, as `SeedSequence` splits each int
+    of its entropy, least significant first.
+
+    All rows at once: numpy's `SeedSequence` entropy mixing and its
+    `generate_state(4, uint64)`, PCG64's seeding and XSL-RR steps on pairs of
+    uint64 arrays (their products wrap, as the 128-bit state's must), and
+    `(x >> 11) * 2**-53` for each double.
+    """
+    words = np.asarray(entropy_rows, dtype=np.uint32)
+    const = 0x43B0D7E5  # SeedSequence's hash constant, stepped on each use
+
+    def hashmix(x):
+        nonlocal const
+        x = x ^ const
+        const = const * 0x931E8875 & _MASK32
+        x = x * const
+        return x ^ (x >> 16)
+
+    def mix(x, y):
+        x = x * 0xCA01F9DD - y * 0x4973F715
+        return x ^ (x >> 16)
+
+    zero = np.zeros(len(words), np.uint32)
+    pool = [hashmix(words[:, i] if i < words.shape[1] else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    const, state = 0x8B51F9DD, []
+    for k in range(8):
+        x = pool[k % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        x = x * const
+        state.append((x ^ (x >> 16)).astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
+    out = np.empty((len(words), n))
+    for t in range(n):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, t] = (x >> rot | x << (-rot & 63)) >> 11
+    return out * 2.0**-53
+
+
 def sample_episodes(
     learners: list[EntityRef], env: PathEnv, params: dict[str, np.ndarray], spec: RewardSpec,
-    hop_budget: int, rngs: list[np.random.Generator],
+    hop_budget: int, draws: np.ndarray,
 ) -> list[Episode]:
     """Roll a walk from each learner for the full hop budget, all in lockstep.
 
-    Walk i draws each action by one `rngs[i].random()` against its cumulative
+    At hop t walk i takes the action where draws[i, t] falls in its cumulative
     probabilities, so its path does not depend on the batch. Walks are key
     rows, stepped by `step_keys`, and the paths are decoded once. The batch's
     `first_layer_tables` get rows for its learners and, hop by hop, for the
@@ -340,12 +424,14 @@ def sample_episodes(
     """
     if not learners:
         raise ValueError("empty episode batch")
-    for learner in learners:
-        env.initial_state(learner, hop_budget)  # rejects a non-learner start and an empty budget
     key = start_keys(env, learners)
+    if hop_budget < 1:
+        raise ValueError("hop_budget must be >= 1")
+    if np.shape(draws) != (len(learners), hop_budget):  # one row would broadcast to all
+        raise ValueError("draws must hold one row per walk and one column per hop")
     tables = first_layer_tables(params, env, np.unique(key[:, 1]), key[:, 0])
     hops, taken = [], []
-    for _ in range(hop_budget):
+    for t in range(hop_budget):
         tables.fill(env, key[:, 0])  # a state's tails are entities its walk entered before
         asets = env.action_sets(key[:, 0].tolist())
         pre = tables.preactivations(key[:, 1], key[:, 0], key[:, 2:])
@@ -355,8 +441,7 @@ def sample_episodes(
         # a zero-padded row per walk: its running sums are those of its segment
         padded = np.zeros((len(hop.sizes), hop.sizes.max()))
         padded[hop.seg, np.arange(len(hop.probs)) - hop.starts[hop.seg]] = hop.probs
-        draws = np.array([rng.random() for rng in rngs])
-        below = np.count_nonzero(np.cumsum(padded, axis=1) <= draws[:, None], axis=1)
+        below = np.count_nonzero(np.cumsum(padded, axis=1) <= draws[:, [t]], axis=1)
         hop.chosen = np.minimum(below, hop.sizes - 1)
         hops.append(hop)
         action_ids = np.concatenate([aset.action_ids for aset in asets])[hop.starts + hop.chosen]
@@ -375,8 +460,9 @@ def sample_episode(
     learner: EntityRef, env: PathEnv, params: dict[str, np.ndarray], spec: RewardSpec,
     hop_budget: int, rng: np.random.Generator,
 ) -> Episode:
-    """The one-walk case of `sample_episodes`."""
-    return sample_episodes([learner], env, params, spec, hop_budget, [rng])[0]
+    """The one-walk case of `sample_episodes`, with one `rng.random()` per hop."""
+    draws = rng.random(max(hop_budget, 0))[None]
+    return sample_episodes([learner], env, params, spec, hop_budget, draws)[0]
 
 
 def _batch_hops(episodes: list[Episode]) -> list[Hop]:
@@ -517,8 +603,9 @@ def train_agent(
     """Epochs x learners x episodes REINFORCE loop, deterministic per seed.
 
     Each batch is one `sample_episodes` call and one update. Episode j of a
-    learner draws from a generator seeded by (seed, epoch, learner, j), so
-    the paths do not depend on the batch size.
+    learner draws what `np.random.default_rng([seed, epoch, learner, j])`
+    would, bit for bit, so the paths do not depend on the batch size; each
+    epoch's draws are computed at once by `walk_draws`.
     """
     cfg.validate()
     learners = kg_train.learners()
@@ -530,12 +617,17 @@ def train_agent(
     budget = cfg.hop_budget()
     log = TrainingLog()
     walks = [(learner, j) for learner in learners for j in range(cfg.episodes_per_learner)]
+    # each walk's seed words: the seed's 32-bit words, then epoch, learner and j
+    seed_words = [cfg.seed >> s & _MASK32 for s in range(0, max(cfg.seed.bit_length(), 1), 32)]
+    entropy = np.array([[*seed_words, 0, u.index, j] for u, j in walks], dtype=np.uint32)
     for epoch in range(1, cfg.epochs + 1):
+        entropy[:, -3] = epoch
+        draws = walk_draws(entropy, budget)
         episodes: list[Episode] = []
         for start in range(0, len(walks), cfg.batch_episodes):
-            batch = walks[start : start + cfg.batch_episodes]
-            rngs = [np.random.default_rng([cfg.seed, epoch, u.index, j]) for u, j in batch]
-            buffer = sample_episodes([u for u, _j in batch], env, params, spec, budget, rngs)
+            batch = slice(start, start + cfg.batch_episodes)
+            starts = [u for u, _j in walks[batch]]
+            buffer = sample_episodes(starts, env, params, spec, budget, draws[batch])
             params, _ = reinforce_update(buffer, params, opt, cfg)
             episodes += buffer
         log.append(epoch, float(np.mean([ep.reward for ep in episodes])),

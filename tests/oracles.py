@@ -4,9 +4,9 @@ These deliberately avoid the library's own code paths: metrics are recomputed
 with plain loops, state features rebuilt from the state's fields, embedding
 and policy gradients with central finite differences (embedding gradients
 also on one tensor per entity type and relation, with `np.add.at` scatters
-and per-tensor Adam; policy gradients also with a per-step loop of outer
-products, and advantages with a fresh forward pass per step), rollouts
-against a walk through `PathEnv.step`, agent training against a loop of
+and per-tensor Adam in its textbook form; policy gradients also with a
+per-step loop of outer products, and advantages with a fresh forward pass
+per step), rollouts against a walk through `PathEnv.step`, agent training against a loop of
 those walks and per-step updates, beam results against exhaustive
 action-sequence enumeration and against a beam search that expands every
 prefix on its own, candidate ranking against a dict of each course's
@@ -28,12 +28,34 @@ from pathrec.environment import Path, PathEnv, reward
 from pathrec.errors import DivergenceError
 from pathrec.inference import RecommendationList, RecommendedItem
 from pathrec.kg import KnowledgeGraph
-from pathrec.optim import Adam, softplus, stable_sigmoid
+from pathrec.optim import softplus, stable_sigmoid
 from pathrec.policy import baseline, feature_size, init_policy, policy_forward
 from pathrec.schema import (
     ENTITY_TYPES, FORWARD_RELATIONS, SELF_LOOP, EntityRef, forward_name, inverse_of, is_forward,
     relation_types,
 )
+
+
+class ReferenceAdam:
+    """`Adam` in its textbook form: fresh moment and parameter arrays each step."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        out = {}
+        for key, p in params.items():
+            g = grads[key]
+            m = b1 * self.m.get(key, 0.0) + (1.0 - b1) * g
+            v = b2 * self.v.get(key, 0.0) + (1.0 - b2) * g * g
+            self.m[key], self.v[key] = m, v
+            m_hat = m / (1.0 - b1**self.t)
+            v_hat = v / (1.0 - b2**self.t)
+            out[key] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return out
 
 
 def add_at_rows(param, rows, terms):
@@ -148,7 +170,7 @@ def reference_train_embeddings(kg, cfg):
     table = init_embeddings(kg, cfg)
     params = {**table.entity, **table.relation}
     triples = _canonical_triples(kg)
-    opt = Adam(cfg.learning_rate)
+    opt = ReferenceAdam(cfg.learning_rate)
     m = cfg.negatives_per_positive
     tail_sizes = np.array([kg.n_entities(relation_types(rel)[1]) for rel in RELATIONS])
     losses = []
@@ -357,7 +379,7 @@ def reference_train_agent(kg, table, cfg, spec):
     and an Adam step. Returns (params, per-epoch mean reward, sampled paths)."""
     params = init_policy(table.d, cfg)
     env = PathEnv(kg, table, cfg.max_actions, cfg.history)
-    opt = Adam(cfg.learning_rate)
+    opt = ReferenceAdam(cfg.learning_rate)
     budget = cfg.hop_budget()
 
     def update(params, episodes):

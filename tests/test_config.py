@@ -144,3 +144,14 @@ def test_every_library_field_has_exactly_one_key(lib_cls, build):
         assert built == lib_cls(**{**vars(lib_cls()), f.name: value, "seed": built.seed})
         if run_seeded:
             assert built.seed == 3
+
+
+@pytest.mark.parametrize("cfg", [
+    AgentConfig(learning_rate=float("inf")),
+    AgentConfig(entropy_weight=float("inf")),
+    EmbedConfig(learning_rate=float("inf")),
+])
+def test_infinite_rates_are_config_errors(cfg):
+    # README: config floats are finite; an infinite rate would fail an epoch later
+    with pytest.raises(ConfigError, match="finite"):
+        cfg.validate()

@@ -31,6 +31,7 @@ from pathrec.policy import (
     start_keys,
     step_keys,
     train_agent,
+    walk_draws,
 )
 from pathrec.schema import ACTION_RELATIONS, SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
@@ -329,7 +330,29 @@ class TestSampleEpisode:
         env = tiny_env()
         params = init_policy(4, AgentConfig(hidden=8, seed=0))
         with pytest.raises(ValueError, match="empty episode batch"):
-            sample_episodes([], env, params, BINARY, 4, [])
+            sample_episodes([], env, params, BINARY, 4, np.empty((0, 4)))
+
+    @pytest.mark.parametrize("start, budget, error", [
+        (EntityRef("course", 0), 4, TypeError),
+        (EntityRef("learner", 99), 4, KeyError),
+        (EntityRef("learner", -1), 4, KeyError),
+        (EntityRef("learner", 2), 0, ValueError),
+    ])
+    def test_a_bad_start_in_the_middle_of_a_batch(self, start, budget, error):
+        env = tiny_env()
+        params = init_policy(4, AgentConfig(hidden=8, seed=0))
+        learners = [EntityRef("learner", i) for i in (0, 1, 3)]
+        learners.insert(2, start)
+        with pytest.raises(error):
+            sample_episodes(learners, env, params, BINARY, budget, np.zeros((4, max(budget, 0))))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 3), (4, 5), (3, 4)])
+    def test_draws_must_match_the_batch(self, shape):
+        env = tiny_env()
+        params = init_policy(4, AgentConfig(hidden=8, seed=0))
+        learners = [EntityRef("learner", i) for i in range(4)]
+        with pytest.raises(ValueError, match="one row per walk"):
+            sample_episodes(learners, env, params, BINARY, 4, np.zeros(shape))
 
     @pytest.mark.parametrize("graph", ["tiny", "generated"])
     @pytest.mark.parametrize("history", [0, 1, 2])
@@ -343,7 +366,7 @@ class TestSampleEpisode:
         for order in (walks, walks[::-1], walks[1::2]):
             batch = sample_episodes(
                 [u for u, _j in order], env, params, spec, 4,
-                [np.random.default_rng([9, u.index, j]) for u, j in order],
+                np.array([np.random.default_rng([9, u.index, j]).random(4) for u, j in order]),
             )
             for i, ep in enumerate(batch):
                 want = alone[walks.index(order[i])]
@@ -360,6 +383,49 @@ class TestSampleEpisode:
                     )
 
 
+class TestWalkDraws:
+    """`walk_draws` against numpy's own generators: a change to numpy's
+    `SeedSequence` or `PCG64` fails here, before it moves a sampled path."""
+
+    @staticmethod
+    def generator_draws(rows, n):
+        return np.array([np.random.default_rng(row).random(n) for row in rows])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_default_rng_on_four_word_rows(self, n):
+        rows = np.random.default_rng(n).integers(0, 2**32, size=(300, 4))
+        rows[:3] = 0
+        rows[3:6] = 2**32 - 1
+        rows[6:12, ::2] = 0
+        rows[12:18, 1::2] = 2**32 - 1
+        got = walk_draws(rows, n)
+        assert got.tobytes() == self.generator_draws(rows.tolist(), n).tobytes()
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 5, 7])
+    def test_equals_default_rng_on_shorter_and_longer_rows(self, words):
+        rows = np.random.default_rng(words).integers(0, 2**32, size=(100, words))
+        got = walk_draws(rows, 4)
+        assert got.tobytes() == self.generator_draws(rows.tolist(), 4).tobytes()
+
+    @pytest.mark.parametrize("row", [[0, 0, 0, 0], [2**32 - 1] * 4, [3, 1, 4, 1]])
+    def test_a_single_row(self, row):
+        assert walk_draws([row], 6).tobytes() == self.generator_draws([row], 6).tobytes()
+
+    @pytest.mark.parametrize("seed", [2**32, 2**40 - 1, 2**40 + 3, 2**64 + 5, 2**96 + 7])
+    def test_a_multi_word_seed_is_its_words_least_significant_first(self, seed):
+        words = [seed >> s & (2**32 - 1) for s in range(0, seed.bit_length(), 32)]
+        rest = np.random.default_rng(seed % 97).integers(0, 2**32, size=(50, 3))
+        rows = np.column_stack([np.tile(words, (len(rest), 1)), rest])
+        want = np.array([np.random.default_rng([seed, *r]).random(5) for r in rest.tolist()])
+        assert walk_draws(rows, 5).tobytes() == want.tobytes()
+
+    def test_warns_of_no_overflow(self):
+        rows = np.random.default_rng(0).integers(0, 2**32, size=(20, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk_draws(rows, 4)
+
+
 def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6, lockstep=False):
     """Episodes sampled one by one, so that an update gathers them hop by hop,
     or (lockstep) as one batch, whose hops an update reads as they are."""
@@ -368,7 +434,8 @@ def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6, lockstep=False):
     learners = [EntityRef("learner", i % 4) for i in range(n_episodes)]
     rngs = [np.random.default_rng(100 + i) for i in range(n_episodes)]
     if lockstep:
-        return params, sample_episodes(learners, env, params, BINARY, 4, rngs)
+        draws = np.array([rng.random(4) for rng in rngs])
+        return params, sample_episodes(learners, env, params, BINARY, 4, draws)
     return params, [
         sample_episode(learner, env, params, BINARY, 4, rng) for learner, rng in zip(learners, rngs)
     ]
@@ -558,6 +625,27 @@ class TestTrainAgent:
             np.testing.assert_allclose(params[key], want_params[key], rtol=0, atol=1e-12,
                                        err_msg=key)
 
+    def test_a_multi_word_seed_equals_the_per_episode_trainer(self, monkeypatch):
+        kg, env, _params, spec = walk_setup("generated", 1)
+        cfg = AgentConfig(epochs=2, hidden=8, episodes_per_learner=2, batch_episodes=7,
+                          seed=2**40 + 3)
+        sampled = []
+        real = policy_module.sample_episodes
+
+        def recording(*args):
+            episodes = real(*args)
+            sampled.extend(ep.path for ep in episodes)
+            return episodes
+
+        monkeypatch.setattr(policy_module, "sample_episodes", recording)
+        params, log = train_agent(kg, env.embeddings, cfg, spec)
+        want_params, want_rewards, want_paths = reference_train_agent(kg, env.embeddings, cfg, spec)
+        assert sampled == want_paths
+        assert log.mean_reward == want_rewards
+        for key in params:
+            np.testing.assert_allclose(params[key], want_params[key], rtol=0, atol=1e-12,
+                                       err_msg=key)
+
     def test_log_csv(self, tmp_path):
         kg, table = self._setup()
         _params, log = train_agent(
@@ -625,8 +713,8 @@ class TestSinglePass:
 
         monkeypatch.setattr(policy_module, "first_layer_tables", keeping)
         learners = kg.learners()[2:4] * 2
-        rngs = [np.random.default_rng(i) for i in range(len(learners))]
-        episodes = sample_episodes(learners, env, params, spec, 4, rngs)
+        draws = np.array([np.random.default_rng(i).random(4) for i in range(len(learners))])
+        episodes = sample_episodes(learners, env, params, spec, 4, draws)
         ((indices, tables),) = built
         assert indices.tolist() == [2, 3]
         entered = {int(e) for hop in episodes[0].hops for e in hop.keys[:, 0]}
@@ -755,6 +843,8 @@ class TestCheckpoint:
         (b'"hidden": 8', b'"hidden": 0'),
         (b'"hidden": 8', b'"hidden": 8.0'),
         (b'"episodes_per_learner": 2', b'"episodes_per_learner": 2.5'),
+        (b'"learning_rate": 0.001', b'"learning_rate": Infinity'),
+        (b'"entropy_weight": 0.01', b'"entropy_weight": Infinity'),
         (b'"d": 4', b'"d": 0'),
         (b'"d": 4', b'"d": -4'),
     ])
