@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Action, ActionSet, Path, PathEnv
-from .errors import ConfigError, DataError, atomic_write, check_count, open_text
+from .errors import DataError, atomic_write, check_count, open_text
 from .kg import KnowledgeGraph
 from .policy import FirstLayer, first_layer_tables, hop_from_preactivation, start_keys, step_keys
 # `policy_forward` is not called here, but it stays bound as `inference.policy_forward`:
@@ -172,8 +172,8 @@ def search_block(
     and the segment sums of the softmax add in another order than one state's
     `policy_forward` does.
     """
-    if any(w < 1 for w in beam_widths):
-        raise ConfigError("beam widths must be >= 1")
+    for width in beam_widths:
+        check_count(width, "beam width")
     if not learners:
         return []
     key = start_keys(env, learners)  # the rows are kept sorted

@@ -400,6 +400,7 @@ def save_split(split: EnrollmentSplit, kg: KnowledgeGraph, path: str) -> None:
 def load_split(path: str, kg: KnowledgeGraph, seed: int = -1,
                ratios: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> EnrollmentSplit:
     parts: dict[str, dict[int, list[EntityRef]]] = {"train": {}, "val": {}, "test": {}}
+    first_line: dict[tuple[int, int], int] = {}  # (learner, course) -> line listing it
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -413,6 +414,10 @@ def load_split(path: str, kg: KnowledgeGraph, seed: int = -1,
                 course = kg.entity("course", cols[2])
             except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: {exc.args[0]}") from None
+            first = first_line.setdefault((learner.index, course.index), lineno)
+            if first != lineno:
+                raise DataError(f"{path}:{lineno}: {cols[0]} and {cols[2]} are already "
+                                f"paired on line {first}")
             parts[cols[1]].setdefault(learner.index, []).append(course)
     freeze = lambda d: {u: tuple(v) for u, v in d.items()}
     return EnrollmentSplit(

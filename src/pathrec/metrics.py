@@ -150,7 +150,9 @@ def mf_baseline(
     """Latent-factor rankings trained with a pairwise (positive vs sampled
     negative) logistic ranking loss; train courses are excluded from output,
     so a list is shorter than k when fewer than k courses are left."""
-    check_count(k, "k")
+    for value, name, least in ((k, "k", 1), (factors, "factors", 1), (batch_size, "batch_size", 1),
+                               (epochs, "epochs", 0), (seed, "seed", 0)):
+        check_count(value, name, least)
     if not split.train:
         raise DataError("train split is empty")
     rng = np.random.default_rng([seed, 7])

@@ -319,7 +319,8 @@ class Step(NamedTuple):
 class Episode:
     """One sampled walk on `env`, row `row` of each of its batch's `hops`; their
     forward pass holds for the parameters that sampled it, which its update
-    must use."""
+    must use. An update takes the batch whole, in row order, and drops it
+    afterwards, so the hops live no longer than their update."""
 
     path: Path
     reward: float
@@ -466,39 +467,24 @@ def sample_episode(
 
 
 def _batch_hops(episodes: list[Episode]) -> list[Hop]:
-    """The episodes' hops with walk i in row i: those they were sampled in,
-    when they are that whole batch in order, else their rows gathered."""
+    """The hops of the one `sample_episodes` batch that `episodes` is, whole
+    and in its row order; anything else raises ValueError."""
+    if not episodes:
+        raise ValueError("empty episode batch")
     hops = episodes[0].hops
-    if [ep.row for ep in episodes] == list(range(len(hops[0].chosen))) and all(
-        ep.hops is hops for ep in episodes
+    if len(episodes) != len(hops[0].chosen) or any(
+        ep.hops is not hops or ep.row != i for i, ep in enumerate(episodes)
     ):
-        return hops
-    gathered = []
-    for t in range(len(hops)):
-        rows = [(ep.hops[t], ep.row) for ep in episodes]
-        sizes = np.array([h.sizes[i] for h, i in rows])
-        segments = [slice(h.starts[i], h.starts[i] + h.sizes[i]) for h, i in rows]
-        gathered.append(Hop(
-            np.array([h.hidden[i] for h, i in rows]),
-            [h.matrices[i] for h, i in rows],
-            np.ones(len(rows), dtype=int),
-            np.concatenate([h.probs[s] for (h, _i), s in zip(rows, segments)]),
-            np.concatenate([h.log_probs[s] for (h, _i), s in zip(rows, segments)]),
-            sizes,
-            np.cumsum(sizes) - sizes,
-            np.repeat(np.arange(len(rows)), sizes),
-            np.array([h.entropy[i] for h, i in rows]),
-            np.array([h.chosen[i] for h, i in rows]),
-            np.array([h.keys[i] for h, i in rows]),
-        ))
-    return gathered
+        raise ValueError("an update takes one whole sample_episodes batch, in its row order")
+    return hops
 
 
 def compute_advantages(
     params: dict[str, np.ndarray], episodes: list[Episode], gamma: float
 ) -> np.ndarray:
     """Return G_t = gamma^(T-t) * reward minus baseline b_t, one row per
-    episode and one column per step.
+    episode and one column per step. `episodes` is one whole
+    `sample_episodes` batch in its row order; anything else raises ValueError.
 
     The baseline head is read from `params` and applied to each hop's stored
     hidden layers, one product per hop; they must come from the `w1`/`b1` of
@@ -525,7 +511,8 @@ def batch_gradients(
     sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2.
 
     Each hop's forward pass is the one stored when it was sampled, so the
-    episodes must come from `sample_episodes` at these `w1`, `b1` and `proj`.
+    episodes must be one whole `sample_episodes` batch, in its row order
+    (anything else raises ValueError), sampled at these `w1`, `b1` and `proj`.
     The advantages must be `compute_advantages` at these `params`: each one,
     G_t - b_t, is also the baseline's error. Each hop is one gradient block:
     the logit gradients are one array over the episodes' segments, and only
@@ -559,9 +546,8 @@ def reinforce_update(
     opt,
     cfg: AgentConfig,
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """One ascent step on a batch of episodes; returns (params, statistics)."""
-    if not episodes:
-        raise ValueError("empty episode batch")
+    """One ascent step on one whole `sample_episodes` batch, in its row order
+    (anything else raises ValueError); returns (params, statistics)."""
     advantages = compute_advantages(params, episodes, cfg.gamma)
     grads = batch_gradients(params, episodes, advantages, cfg.entropy_weight)
     for key, g in grads.items():
@@ -602,7 +588,8 @@ def train_agent(
 ) -> tuple[dict[str, np.ndarray], TrainingLog]:
     """Epochs x learners x episodes REINFORCE loop, deterministic per seed.
 
-    Each batch is one `sample_episodes` call and one update. Episode j of a
+    Each batch is one `sample_episodes` call and one update, after which only
+    its rewards and entropies are kept, for the log. Episode j of a
     learner draws what `np.random.default_rng([seed, epoch, learner, j])`
     would, bit for bit, so the paths do not depend on the batch size; each
     epoch's draws are computed at once by `walk_draws`.
@@ -623,15 +610,16 @@ def train_agent(
     for epoch in range(1, cfg.epochs + 1):
         entropy[:, -3] = epoch
         draws = walk_draws(entropy, budget)
-        episodes: list[Episode] = []
+        rewards, entropies = [], []
         for start in range(0, len(walks), cfg.batch_episodes):
-            batch = slice(start, start + cfg.batch_episodes)
-            starts = [u for u, _j in walks[batch]]
-            buffer = sample_episodes(starts, env, params, spec, budget, draws[batch])
-            params, _ = reinforce_update(buffer, params, opt, cfg)
-            episodes += buffer
-        log.append(epoch, float(np.mean([ep.reward for ep in episodes])),
-                   float(np.mean([ep.entropy for ep in episodes])))
+            rows = slice(start, start + cfg.batch_episodes)
+            starts = [u for u, _j in walks[rows]]
+            batch = sample_episodes(starts, env, params, spec, budget, draws[rows])
+            params, _ = reinforce_update(batch, params, opt, cfg)
+            rewards += [ep.reward for ep in batch]
+            entropies += [ep.entropy for ep in batch]
+            del batch  # freed before the next batch is sampled
+        log.append(epoch, float(np.mean(rewards)), float(np.mean(entropies)))
     return params, log
 
 

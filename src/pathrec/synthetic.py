@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, atomic_write
+from .errors import ConfigError, atomic_write, check_count
 from .kg import KnowledgeGraph, graph_from_raw_edges
 
 RawEdges = dict[str, list[tuple[str, str]]]
@@ -34,12 +34,10 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        counts = (
-            self.n_learners, self.n_courses, self.n_teachers,
-            self.n_categories, self.n_concepts, self.n_clusters,
-        )
-        if any(n <= 0 for n in counts):
-            raise ConfigError("all entity and cluster counts must be positive")
+        for name in ("n_learners", "n_courses", "n_teachers", "n_categories", "n_concepts",
+                     "n_clusters", "enrollments_per_learner"):
+            check_count(getattr(self, name), name)
+        check_count(self.seed, "seed", least=0)
         p_in, p_cross = self.in_cluster_enroll_prob, self.cross_cluster_enroll_prob
         if not (0.0 <= p_cross <= 1.0 and 0.0 <= p_in <= 1.0):
             raise ConfigError("enrollment probabilities must lie in [0, 1]")

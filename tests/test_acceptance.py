@@ -30,7 +30,7 @@ from pathrec.policy import (
     batch_gradients,
     compute_advantages,
     init_policy,
-    sample_episode,
+    sample_episodes,
     train_agent,
 )
 from pathrec.schema import SELF_LOOP, EntityRef
@@ -142,10 +142,8 @@ def test_criterion_3_gradient_checks():
         train_enrollments={0: frozenset({0, 1, 2}), 1: frozenset({0, 1}),
                            2: frozenset({2, 3}), 3: frozenset({4})},
     )
-    episodes = [
-        sample_episode(L(i % 4), env, params, spec, 4, np.random.default_rng(50 + i))
-        for i in range(4)
-    ]
+    draws = np.array([np.random.default_rng(50 + i).random(4) for i in range(4)])
+    episodes = sample_episodes([L(i % 4) for i in range(4)], env, params, spec, 4, draws)
     episodes[0].reward = 1.0
     cfg = AgentConfig(hidden=6, entropy_weight=0.01, seed=0)
     advantages = compute_advantages(params, episodes, cfg.gamma)

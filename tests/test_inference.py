@@ -543,6 +543,13 @@ class TestRecommendAll:
         with pytest.raises(ConfigError):
             recommend_all([L(i) for i in range(4)], env, params, TRAIN, (10, 10, 10), n=n)
 
+    @pytest.mark.parametrize("widths", [(25.0, 5, 1), (True, 5, 1), (25, "5", 1), (25, 5, 0)])
+    def test_width_that_is_not_a_positive_integer_is_config_error(self, widths):
+        # unchecked, 25.0 failed as a bare TypeError and True searched at width 1
+        _kg, env, params = tiny_setup()
+        with pytest.raises(ConfigError, match="beam width must be an integer >= 1"):
+            recommend_all([L(i) for i in range(4)], env, params, TRAIN, widths)
+
     @pytest.mark.parametrize("n", [2.0, 2.5, "3", True, None])
     def test_non_integer_n_is_config_error(self, n):
         _kg, env, params = tiny_setup()

@@ -300,6 +300,19 @@ class TestSplit:
         with pytest.raises(DataError, match=r"split\.tsv: not UTF-8"):
             load_split(put_bad_byte(path, 1), kg)
 
+    @pytest.mark.parametrize("again", ["train", "test"])
+    def test_load_rejects_a_pair_listed_twice(self, tmp_path, again):
+        # a course listed as training and as test would be scored against while
+        # the agent trains on it
+        kg, path = make_tiny_kg(), tmp_path / "split.tsv"
+        save_split(split_enrollments(kg, seed=0), kg, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        learner, _part, course = lines[0].split("\t")
+        lines.append(f"{learner}\t{again}\t{course}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"split\.tsv:{len(lines)}: .* line 1"):
+            load_split(str(path), kg)
+
     def test_save_load_roundtrip(self, synth_kg, synth_split, tmp_path):
         path = tmp_path / "split.tsv"
         save_split(synth_split, synth_kg, str(path))

@@ -128,6 +128,20 @@ def test_k_that_is_not_an_integer_of_at_least_one_is_config_error(entry, k):
         calls[entry]()
 
 
+@pytest.mark.parametrize("name, value, least", [
+    ("factors", 0, 1), ("factors", 2.5, 1), ("factors", True, 1),
+    ("batch_size", 0, 1), ("batch_size", 64.0, 1), ("epochs", -1, 0), ("epochs", 1.5, 0),
+    ("seed", -1, 0), ("seed", 2.5, 0),
+])
+def test_mf_count_that_is_not_an_integer_in_range_is_config_error(name, value, least):
+    # unchecked, factors=0 and batch_size=0 failed as bare ValueErrors, from a
+    # reshape and from range, and seed=-1 from the generator
+    split = make_split({0: [0, 1], 1: [1]}, {0: [2], 1: [3]})
+    kwargs = {"factors": 2, "epochs": 1, name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= {least}"):
+        mf_baseline(split, 4, **kwargs)
+
+
 class TestPopBaseline:
     def test_count_then_index_order(self):
         split = make_split(

@@ -1,5 +1,7 @@
+import gc
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -426,24 +428,19 @@ class TestWalkDraws:
             walk_draws(rows, 4)
 
 
-def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6, lockstep=False):
-    """Episodes sampled one by one, so that an update gathers them hop by hop,
-    or (lockstep) as one batch, whose hops an update reads as they are."""
+def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6):
+    """One `sample_episodes` batch, episode i drawing what
+    `np.random.default_rng(100 + i)` does."""
     env = tiny_env(d=d, seed=seed)
     params = init_policy(d, AgentConfig(hidden=hidden, seed=seed))
     learners = [EntityRef("learner", i % 4) for i in range(n_episodes)]
-    rngs = [np.random.default_rng(100 + i) for i in range(n_episodes)]
-    if lockstep:
-        draws = np.array([rng.random(4) for rng in rngs])
-        return params, sample_episodes(learners, env, params, BINARY, 4, draws)
-    return params, [
-        sample_episode(learner, env, params, BINARY, 4, rng) for learner, rng in zip(learners, rngs)
-    ]
+    draws = np.array([np.random.default_rng(100 + i).random(4) for i in range(n_episodes)])
+    return params, sample_episodes(learners, env, params, BINARY, 4, draws)
 
 
-def varied_batch(lockstep=False):
+def varied_batch():
     """A frozen batch of 81 episodes with varied advantages."""
-    params, episodes = frozen_batch(d=4, n_episodes=81, hidden=8, lockstep=lockstep)
+    params, episodes = frozen_batch(d=4, n_episodes=81, hidden=8)
     rng = np.random.default_rng(7)
     params["v_w"] = rng.normal(scale=0.5, size=params["v_w"].shape)
     for ep in episodes:
@@ -480,33 +477,19 @@ class TestReinforceUpdate:
         assert err <= 1e-3
 
     def test_gradient_matches_per_step_oracle(self):
-        for lockstep in (False, True):
-            params, episodes, advantages = varied_batch(lockstep)
-            got = batch_gradients(params, episodes, advantages, 0.05)
-            want = reference_batch_gradients(params, episodes, advantages, 0.05, 0.9)
-            for key in params:
-                np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
+        params, episodes, advantages = varied_batch()
+        got = batch_gradients(params, episodes, advantages, 0.05)
+        want = reference_batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        for key in params:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
 
     def test_advantages_equal_fresh_forward_oracle(self):
         # the baseline is one product per hop, `H @ v_w`, and the stored hidden
         # layers a matrix product, so they agree with a one-state pass by rounding
-        for lockstep in (False, True):
-            params, episodes, advantages = varied_batch(lockstep)
-            want = reference_advantages(params, episodes, gamma=0.9)
-            assert advantages.shape == (81, 4)
-            np.testing.assert_allclose(advantages, want, rtol=0, atol=1e-12)
-
-    def test_gradient_is_additive_over_episodes(self):
-        # the halves of a lockstep batch are gathered from its hops, the whole is read as it is
-        for lockstep in (False, True):
-            params, episodes, advantages = varied_batch(lockstep)
-            whole = batch_gradients(params, episodes, advantages, 0.05)
-            half = len(episodes) // 2 + 1
-            first = batch_gradients(params, episodes[:half], advantages[:half], 0.05)
-            second = batch_gradients(params, episodes[half:], advantages[half:], 0.05)
-            for key in params:
-                np.testing.assert_allclose(whole[key], first[key] + second[key], rtol=1e-12,
-                                           atol=0, err_msg=key)
+        params, episodes, advantages = varied_batch()
+        want = reference_advantages(params, episodes, gamma=0.9)
+        assert advantages.shape == (81, 4)
+        np.testing.assert_allclose(advantages, want, rtol=0, atol=1e-12)
 
     def test_zero_learning_rate_keeps_params(self):
         params, episodes = frozen_batch()
@@ -526,6 +509,41 @@ class TestReinforceUpdate:
         params, _ = frozen_batch()
         with pytest.raises(ValueError):
             reinforce_update([], params, Adam(1e-3), AgentConfig(hidden=6))
+
+    @staticmethod
+    def update_calls(params, episodes):
+        """Each update entry point, called on `episodes`."""
+        cfg = AgentConfig(hidden=6, seed=0)
+        advantages = np.zeros((len(episodes), 4))
+        return [
+            lambda: compute_advantages(params, episodes, cfg.gamma),
+            lambda: batch_gradients(params, episodes, advantages, cfg.entropy_weight),
+            lambda: reinforce_update(episodes, params, Adam(1e-3), cfg),
+        ]
+
+    @pytest.mark.parametrize("call", [0, 1, 2])
+    @pytest.mark.parametrize("part", ["partial", "reordered", "two batches", "spliced"])
+    def test_an_update_takes_one_whole_batch_in_order(self, part, call):
+        params, episodes = frozen_batch(n_episodes=3)
+        other = frozen_batch(n_episodes=3)[1]
+        episodes = {
+            "partial": episodes[1:],
+            "reordered": [episodes[1], episodes[0], episodes[2]],
+            "two batches": episodes + other,
+            "spliced": episodes[:2] + other[2:],  # rows 0-2, of two batches
+        }[part]
+        with pytest.raises(ValueError, match="one whole sample_episodes batch"):
+            self.update_calls(params, episodes)[call]()
+
+    def test_a_one_walk_episode_is_a_whole_batch(self):
+        env = tiny_env(d=2, seed=0)
+        params = init_policy(2, AgentConfig(hidden=6, seed=0))
+        ep = sample_episode(EntityRef("learner", 1), env, params, BINARY, 4,
+                            np.random.default_rng(3))
+        ep.reward = 1.0
+        new_params, stats = reinforce_update([ep], params, Adam(1e-2), AgentConfig(hidden=6))
+        assert stats["mean_reward"] == 1.0
+        assert any(not np.array_equal(new_params[key], params[key]) for key in params)
 
 
 class TestTrainAgent:
@@ -736,7 +754,7 @@ class TestSinglePass:
         assert calls == batches * cfg.epochs
 
     def test_update_makes_no_forward_pass(self, monkeypatch):
-        batches = [varied_batch(lockstep) for lockstep in (False, True)]
+        params, episodes, _ = varied_batch()
 
         def forbidden(*args):
             raise AssertionError("the update ran a forward pass")
@@ -745,10 +763,26 @@ class TestSinglePass:
         monkeypatch.setattr(policy_module, "first_layer_tables", forbidden)
         monkeypatch.setattr(policy_module.FirstLayer, "preactivations", forbidden)
         monkeypatch.setattr(policy_module, "hop_from_preactivation", forbidden)
-        for params, episodes, _ in batches:
-            advantages = compute_advantages(params, episodes, gamma=0.9)
-            batch_gradients(params, episodes, advantages, 0.05)
-            reinforce_update(episodes, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
+        advantages = compute_advantages(params, episodes, gamma=0.9)
+        batch_gradients(params, episodes, advantages, 0.05)
+        reinforce_update(episodes, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
+
+    def test_a_batch_is_freed_after_its_update(self, monkeypatch):
+        # 8 walks an epoch in batches of 3, over 2 epochs: 6 updates
+        kg, table, _cfg = self._setup()
+        cfg = AgentConfig(epochs=2, hidden=8, batch_episodes=3, seed=2)
+        real = policy_module.reinforce_update
+        earlier = []
+
+        def watching(episodes, params, opt, cfg):
+            gc.collect()
+            assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
+            earlier.append(weakref.ref(episodes[0].hops[0]))
+            return real(episodes, params, opt, cfg)
+
+        monkeypatch.setattr(policy_module, "reinforce_update", watching)
+        train_agent(kg, table, cfg, BINARY)
+        assert len(earlier) == 6
 
     @pytest.mark.parametrize("history", [0, 1, 2])
     def test_stored_forward_equals_a_fresh_one_at_every_update(self, monkeypatch, history):

@@ -66,3 +66,13 @@ def test_course_attributes_align_with_cluster(synth_kg):
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         generate(SynthConfig(**kwargs))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_learners", 20.5), ("n_learners", True), ("n_courses", 30.0), ("n_clusters", "5"),
+    ("enrollments_per_learner", 12.0), ("seed", -1), ("seed", 1.5),
+])
+def test_count_that_is_not_an_integer_is_config_error(name, value):
+    # unchecked, 20.5 learners failed as a bare TypeError and True built a 1-learner graph
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        generate(SynthConfig(**{name: value}))
