@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import (
     CheckpointMismatchError, ConfigError, DataError, DivergenceError, atomic_write,
-    read_declared,
+    check_count, read_declared,
 )
 from .kg import KnowledgeGraph
 from .optim import Adam, softplus, stable_sigmoid
@@ -48,20 +47,12 @@ class EmbedConfig:
     optimizer: str = "adam"
 
     def validate(self) -> None:
-        counts = (self.d, self.epochs, self.negatives_per_positive, self.batch_size, self.seed)
-        # a float count passes the range checks below, then fails as a bare TypeError
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
-            raise ConfigError("count and seed settings must be integers")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.d <= 0:
-            raise ConfigError("embedding dimension d must be positive")
+        for name in ("d", "negatives_per_positive", "batch_size"):
+            check_count(getattr(self, name), name)
+        for name in ("epochs", "seed"):
+            check_count(getattr(self, name), name, least=0)
         if not 0 <= self.learning_rate < math.inf:  # also rejects NaN
             raise ConfigError("learning_rate must be finite and non-negative")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.negatives_per_positive <= 0 or self.batch_size <= 0:
-            raise ConfigError("negatives_per_positive and batch_size must be positive")
         if self.optimizer != "adam":
             raise ConfigError(f"unknown optimizer: {self.optimizer!r}")
 

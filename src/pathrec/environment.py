@@ -127,7 +127,6 @@ class PathEnv:
 
     Action sets depend only on the entity being stood on, so they are
     cached per entity id; the environment is read-only and shareable.
-    `action` turns an action id back into its `Action` through the graph.
     """
 
     def __init__(
@@ -153,10 +152,6 @@ class PathEnv:
             embeddings.feature_relation_vector(rel) for rel in ACTION_RELATIONS
         ])
         self.entity_rows = embeddings.W[: kg.n_ids]
-
-    def action(self, action_id: int) -> Action:
-        rel, tail = divmod(action_id, self.kg.n_ids)
-        return ACTION_RELATIONS[rel], self.kg.entity_of(tail)
 
     def action_rows(self, action_ids: np.ndarray) -> np.ndarray:
         """The `ActionSet.matrix` rows of the given actions: one gather of

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import Action, ActionSet, Path, PathEnv
-from .errors import DataError, atomic_write, check_count, open_text
+from .errors import ConfigError, DataError, atomic_write, check_count, open_text
 from .kg import KnowledgeGraph
 from .policy import FirstLayer, first_layer_tables, hop_from_preactivation, start_keys, step_keys
 # `policy_forward` is not called here, but it stays bound as `inference.policy_forward`:
@@ -51,28 +51,28 @@ class Beam:
     """The final prefixes of one learner's beam search, as a sequence of (Path, score) pairs.
 
     A prefix is stored as back-pointers: each level holds every prefix's
-    parent prefix and the integer id of its last hop, which `action_of` turns
-    back into an `Action`. A search over a block of learners shares its
-    levels between their beams; this learner's final prefixes are those from
-    `first` on in the last level. `acc` holds their path log-probabilities
-    and `final_course` their terminal course index, or -1 where a prefix ends
-    on another entity type, so a ranker reads both without building a
-    `Path`. `paths` builds the `Path`s of chosen prefixes; iteration goes
-    through it.
+    parent prefix and the integer id of its last hop, which `decode` turns
+    back into `Action`s, one call per level. A search over a block of
+    learners shares its levels between their beams; this learner's final
+    prefixes are those from `first` on in the last level. `acc` holds their
+    path log-probabilities and `final_course` their terminal course index,
+    or -1 where a prefix ends on another entity type, so a ranker reads both
+    without building a `Path`. `paths` builds the `Path`s of chosen
+    prefixes; iteration goes through it.
     """
 
     def __init__(
         self,
         learner: EntityRef,
         levels: list[tuple[np.ndarray, np.ndarray]],
-        action_of: Callable[[int], Action],
+        decode: Callable[[np.ndarray], Sequence[Action]],
         acc: np.ndarray,
         final_course: np.ndarray,
         first: int,
     ):
         self.learner = learner
         self.levels = levels
-        self.action_of = action_of
+        self.decode = decode
         self.acc = acc
         self.final_course = final_course
         self.first = first
@@ -88,7 +88,7 @@ class Beam:
         prefix = self.first + np.asarray(indices, dtype=np.intp)
         columns = []
         for parent, hop in reversed(self.levels):
-            columns.append(list(map(self.action_of, hop[prefix].tolist())))
+            columns.append(self.decode(hop[prefix]))
             prefix = parent[prefix]
         return [Path(self.learner, hops) for hops in zip(*reversed(columns))]
 
@@ -172,13 +172,13 @@ def search_block(
     and the segment sums of the softmax add in another order than one state's
     `policy_forward` does.
     """
+    if not beam_widths:
+        raise ConfigError("beam search needs at least one width")
     for width in beam_widths:
         check_count(width, "beam width")
     if not learners:
         return []
     key = start_keys(env, learners)  # the rows are kept sorted
-    if not beam_widths:
-        raise ValueError("beam search needs at least one width")
     order = np.lexsort(key.T[::-1])
     key = key[order]
     state_of = np.argsort(order)  # each prefix's state; prefix b is learner b's
@@ -217,7 +217,7 @@ def search_block(
         owner = owner[parent]
     bounds = np.searchsorted(owner, np.arange(len(learners) + 1)).tolist()
     return [
-        Beam(u, levels, env.action, acc[a:b], final_course[a:b], a)
+        Beam(u, levels, env.kg.decode, acc[a:b], final_course[a:b], a)
         for u, a, b in zip(learners, bounds, bounds[1:])
     ]
 

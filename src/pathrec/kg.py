@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, atomic_write, open_text
+from .errors import ConfigError, DataError, atomic_write, check_count, open_text
 from .schema import (
     ACTION_RELATIONS,
     ENTITY_TYPES,
@@ -251,8 +251,7 @@ def filter_learners(kg: KnowledgeGraph, min_enrollments: int) -> KnowledgeGraph:
     Surviving learners are re-indexed densely (original order preserved);
     courses and other entities are retained even if left without edges.
     """
-    if min_enrollments < 0:
-        raise ConfigError("min_enrollments must be >= 0")
+    check_count(min_enrollments, "min_enrollments", least=0)
     counts = kg.enrollment_counts()
     keep = [i for i in range(len(counts)) if counts[i] >= min_enrollments]
     remap = {old: new for new, old in enumerate(keep)}
@@ -399,7 +398,11 @@ def save_split(split: EnrollmentSplit, kg: KnowledgeGraph, path: str) -> None:
 
 def load_split(path: str, kg: KnowledgeGraph, seed: int = -1,
                ratios: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> EnrollmentSplit:
+    """The split of `save_split`'s lines over `kg`. A malformed line, an id
+    `kg` does not hold, a pair that is not one of its enrollments, or a pair
+    listed twice raises DataError naming its line."""
     parts: dict[str, dict[int, list[EntityRef]]] = {"train": {}, "val": {}, "test": {}}
+    enrolled = kg.edges["enrolled"]
     first_line: dict[tuple[int, int], int] = {}  # (learner, course) -> line listing it
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -414,6 +417,8 @@ def load_split(path: str, kg: KnowledgeGraph, seed: int = -1,
                 course = kg.entity("course", cols[2])
             except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: {exc.args[0]}") from None
+            if (learner.index, course.index) not in enrolled:
+                raise DataError(f"{path}:{lineno}: {cols[0]} is not enrolled in {cols[2]}")
             first = first_line.setdefault((learner.index, course.index), lineno)
             if first != lineno:
                 raise DataError(f"{path}:{lineno}: {cols[0]} and {cols[2]} are already "

@@ -10,17 +10,18 @@ Rewards are terminal-only, so with the default gamma of 1 the return at
 every step equals the episode reward.
 
 A state is an integer key row (see `start_keys`). Training and beam search
-both read a stack of states' first-layer pre-activations off per-id
-`FirstLayer` tables and run `hop_from_preactivation` on them. Training runs
-one such pass per hop over all of a batch's walks, and the update reuses it;
-only `w1`'s gradient needs features, which `key_features` gathers.
+both build the per-id `FirstLayer` tables over the whole graph with one
+`first_layer_tables` call, once per batch or search, read a stack of states'
+first-layer pre-activations off them and run `hop_from_preactivation` on
+them. Training runs one such pass per hop over all of a batch's walks, and
+the update reuses it; only `w1`'s gradient needs features, which
+`key_features` gathers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -31,7 +32,7 @@ from .embeddings import EmbeddingTable
 from .environment import Path, PathEnv, RewardSpec, reward
 from .errors import (
     CheckpointMismatchError, ConfigError, DataError, DivergenceError, atomic_write,
-    read_declared,
+    check_count, read_declared,
 )
 from .kg import KnowledgeGraph
 from .optim import Adam
@@ -57,24 +58,17 @@ class AgentConfig:
     optimizer: str = "adam"
 
     def validate(self) -> None:
-        counts = (self.max_hops_eval, self.epochs, self.episodes_per_learner, self.hidden,
-                  self.history, self.batch_episodes, self.max_actions, self.seed)
-        # a float count passes the range checks below, then fails as a bare TypeError
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
-            raise ConfigError("count and seed settings must be integers")
+        for name in ("max_hops_eval", "episodes_per_learner", "hidden", "batch_episodes",
+                     "max_actions"):
+            check_count(getattr(self, name), name)
+        for name in ("epochs", "history", "seed"):
+            check_count(getattr(self, name), name, least=0)
         if self.max_hops_eval not in (3, 4, 5):
             raise ConfigError("max_hops_eval must be 3, 4 or 5")
-        if self.epochs < 0 or not 0 <= self.learning_rate < math.inf:  # also rejects NaN
-            raise ConfigError("epochs must be non-negative, and learning_rate finite "
-                              "and non-negative")
-        positive = (
-            self.episodes_per_learner, self.hidden, self.batch_episodes, self.max_actions,
-        )
-        if any(v <= 0 for v in positive):
-            raise ConfigError("episode, width and batch settings must be positive")
-        if self.history < 0 or self.seed < 0 or not 0 <= self.entropy_weight < math.inf:
-            raise ConfigError("history, seed and entropy_weight must be non-negative, "
-                              "and entropy_weight finite")
+        if not 0 <= self.learning_rate < math.inf:  # also rejects NaN
+            raise ConfigError("learning_rate must be finite and non-negative")
+        if not 0 <= self.entropy_weight < math.inf:
+            raise ConfigError("entropy_weight must be finite and non-negative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
         if self.optimizer != "adam":
@@ -161,16 +155,13 @@ class FirstLayer(NamedTuple):
     `start` holds the first term per learner index, `current` the second per
     entity id, and relation[k] and tail[k] history slot k's terms per
     relation id and per entity id. Each tail[k] ends in one zero row more,
-    for the slots that hold no tail. `filled` marks the entity ids whose
-    rows are set, and `fill` sets more from `weights`, [B - C, T_1 ... T_H].
+    for the slots that hold no tail.
     """
 
     start: np.ndarray
     current: np.ndarray
     relation: list[np.ndarray]
     tail: list[np.ndarray]
-    weights: list[np.ndarray]
-    filled: np.ndarray
 
     def preactivations(
         self, learner: np.ndarray, entity: np.ndarray, history: np.ndarray
@@ -179,8 +170,7 @@ class FirstLayer(NamedTuple):
         learner indices `learner` on entity ids `entity`, where history[i, k]
         is the action id walk i took k + 1 hops ago, or -1 before its first
         hop. Such a slot and a self-loop's have zero features: they take the
-        self-loop's zero relation row and the zero tail row. The rows read
-        must be set."""
+        self-loop's zero relation row and the zero tail row."""
         n_ids = len(self.current)
         pre = self.start[learner] + self.current[entity]
         for relation, tail, ids in zip(self.relation, self.tail, history.T):
@@ -190,37 +180,19 @@ class FirstLayer(NamedTuple):
             pre += tail[np.where(real, ent, n_ids)]
         return pre
 
-    def fill(self, env: PathEnv, entities: np.ndarray) -> None:
-        """Set the entity rows of those of entity ids `entities` that are not
-        set yet: one product per table, over just those ids."""
-        new = np.unique(entities[~self.filled[entities]])
-        for table, block in zip([self.current, *self.tail], self.weights):
-            table[new] = env.entity_rows[new] @ block
-        self.filled[new] = True
 
-
-def first_layer_tables(
-    params: dict[str, np.ndarray], env: PathEnv,
-    learners: np.ndarray | None = None, entities: np.ndarray | None = None,
-) -> FirstLayer:
+def first_layer_tables(params: dict[str, np.ndarray], env: PathEnv) -> FirstLayer:
     """The `FirstLayer` of these `params` over `env`: one product per table,
-    over the rows of learner indices `learners` and entity ids `entities` only
-    (all by default), so that a few ids of a large graph cost only their rows."""
+    over every row."""
     d, w1 = env.embeddings.d, params["w1"]
     blocks = [w1[:, k * d : (k + 1) * d].T for k in range(w1.shape[1] // d)]
-    learner_rows, n = env.embeddings.entity["learner"], len(env.entity_rows)
-    learners = slice(None) if learners is None else learners
-    start = np.empty((len(learner_rows), len(w1)))
-    start[learners] = learner_rows[learners] @ (blocks[0] + blocks[2]) + params["b1"]
-    tails = [np.empty((n + 1, len(w1))) for _ in blocks[4::2]]
-    for tail in tails:
-        tail[-1] = 0.0
-    tables = FirstLayer(
-        start, np.empty((n, len(w1))), [env.relation_rows @ block for block in blocks[3::2]],
-        tails, [blocks[1] - blocks[2], *blocks[4::2]], np.zeros(n, dtype=bool),
+    zero = np.zeros((1, len(w1)))
+    return FirstLayer(
+        env.embeddings.entity["learner"] @ (blocks[0] + blocks[2]) + params["b1"],
+        env.entity_rows @ (blocks[1] - blocks[2]),
+        [env.relation_rows @ block for block in blocks[3::2]],
+        [np.concatenate([env.entity_rows @ block, zero]) for block in blocks[4::2]],
     )
-    tables.fill(env, np.arange(n) if entities is None else entities)
-    return tables
 
 
 def policy_forward(
@@ -417,10 +389,9 @@ def sample_episodes(
 
     At hop t walk i takes the action where draws[i, t] falls in its cumulative
     probabilities, so its path does not depend on the batch. Walks are key
-    rows, stepped by `step_keys`, and the paths are decoded once. The batch's
-    `first_layer_tables` get rows for its learners and, hop by hop, for the
-    entities its walks enter, so a batch costs what the ids it touches do,
-    whatever the size of the graph. The hops keep their forward pass, which
+    rows, stepped by `step_keys`, and the paths are decoded once. Every hop
+    reads its pre-activations off the one `first_layer_tables` of the batch,
+    as beam search does. The hops keep their forward pass, which
     `compute_advantages` and `batch_gradients` reuse with these same `params`.
     """
     if not learners:
@@ -430,10 +401,9 @@ def sample_episodes(
         raise ValueError("hop_budget must be >= 1")
     if np.shape(draws) != (len(learners), hop_budget):  # one row would broadcast to all
         raise ValueError("draws must hold one row per walk and one column per hop")
-    tables = first_layer_tables(params, env, np.unique(key[:, 1]), key[:, 0])
+    tables = first_layer_tables(params, env)
     hops, taken = [], []
     for t in range(hop_budget):
-        tables.fill(env, key[:, 0])  # a state's tails are entities its walk entered before
         asets = env.action_sets(key[:, 0].tolist())
         pre = tables.preactivations(key[:, 1], key[:, 0], key[:, 2:])
         matrices = [aset.matrix for aset in asets]

@@ -415,7 +415,7 @@ def reference_train_agent(kg, table, cfg, spec):
 
 
 def reference_action_matrix(table, actions):
-    """`ActionSet.matrix` filled one row at a time: [relation feature vector ;
+    """`ActionSet.matrix` built one row at a time: [relation feature vector ;
     tail vector] per action."""
     d = table.d
     matrix = np.empty((len(actions), 2 * d))

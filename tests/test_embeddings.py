@@ -92,6 +92,16 @@ class TestInit:
         with pytest.raises(ConfigError):
             train_embeddings(tiny_kg, cfg)
 
+    @pytest.mark.parametrize("name, value", [
+        ("d", 8.0), ("d", True), ("negatives_per_positive", 2.5), ("batch_size", 16.0),
+        ("epochs", 1.0), ("epochs", False), ("seed", 0.5), ("d", 0),
+        ("negatives_per_positive", 0), ("batch_size", 0), ("epochs", -1), ("seed", -1),
+    ])
+    def test_count_that_is_not_an_integer_is_config_error(self, name, value):
+        # each count names its field, as SynthConfig's do
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            EmbedConfig(**{name: value}).validate()
+
     def test_numpy_integer_counts_are_accepted(self, tiny_kg):
         cfg = EmbedConfig(d=np.int64(4), epochs=np.int32(1), batch_size=np.int64(16), seed=0)
         _table, losses = train_embeddings(tiny_kg, cfg)

@@ -164,7 +164,7 @@ class TestActionIds:
                 assert len(aset.actions) <= 1 + max_actions
                 assert np.array_equal(aset.matrix, reference_action_matrix(table, aset.actions))
                 assert np.array_equal(env.action_rows(aset.action_ids), aset.matrix)
-                assert [env.action(i) for i in aset.action_ids.tolist()] == list(aset.actions)
+                assert env.kg.decode(aset.action_ids) == aset.actions
                 tails = aset.action_ids % kg.n_ids
                 assert [kg.entity_of(t) for t in tails.tolist()] == [
                     tail for _rel, tail in aset.actions

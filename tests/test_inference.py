@@ -84,7 +84,7 @@ def beam_of(learner, pairs):
         for path, _ in pairs
     ])
     scores = np.array([score for _, score in pairs], dtype=float)
-    return Beam(learner, levels, actions.__getitem__, scores, final_course, 0)
+    return Beam(learner, levels, lambda ids: [actions[i] for i in ids], scores, final_course, 0)
 
 
 def assert_same_list(got, want):
@@ -549,6 +549,14 @@ class TestRecommendAll:
         _kg, env, params = tiny_setup()
         with pytest.raises(ConfigError, match="beam width must be an integer >= 1"):
             recommend_all([L(i) for i in range(4)], env, params, TRAIN, widths)
+
+    def test_empty_width_list_is_config_error(self):
+        # checked before the learners, so an empty block raises it too
+        _kg, env, params = tiny_setup()
+        with pytest.raises(ConfigError, match="at least one width"):
+            recommend_all([L(i) for i in range(4)], env, params, TRAIN, ())
+        with pytest.raises(ConfigError, match="at least one width"):
+            inference.search_block([], env, params, (), None)
 
     @pytest.mark.parametrize("n", [2.0, 2.5, "3", True, None])
     def test_non_integer_n_is_config_error(self, n):

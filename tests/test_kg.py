@@ -248,6 +248,12 @@ class TestFilterLearners:
         with pytest.raises(ConfigError):
             filter_learners(tiny_kg, -1)
 
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, -1])
+    def test_threshold_that_is_not_a_count_is_config_error(self, tiny_kg, value):
+        # unchecked, 2.5 filtered as if it were 3
+        with pytest.raises(ConfigError, match="min_enrollments must be an integer >= 0"):
+            filter_learners(tiny_kg, value)
+
 
 class TestSplit:
     def _kg_one_learner(self, n):
@@ -311,6 +317,18 @@ class TestSplit:
         lines.append(f"{learner}\t{again}\t{course}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=rf"split\.tsv:{len(lines)}: .* line 1"):
+            load_split(str(path), kg)
+
+    def test_load_rejects_a_pair_that_is_not_an_enrollment(self, tmp_path):
+        # unchecked, the line loaded and made c3 u0's only test course
+        kg, path = make_tiny_kg(), tmp_path / "split.tsv"
+        assert (kg.entity("learner", "u0").index, kg.entity("course", "c3").index) not in (
+            kg.edges["enrolled"]
+        )
+        save_split(split_enrollments(kg, seed=0), kg, str(path))
+        lines = [*path.read_text(encoding="utf-8").splitlines(), "u0\ttest\tc3"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"split\.tsv:{len(lines)}: u0 is not enrolled in c3"):
             load_split(str(path), kg)
 
     def test_save_load_roundtrip(self, synth_kg, synth_split, tmp_path):

@@ -149,12 +149,6 @@ class TestFirstLayerTables:
         features = np.array([state_features(s, env.embeddings, history) for s in states])
         want = features @ params["w1"].T + params["b1"]
         assert np.abs(got - want).max() <= 1e-12
-        # tables set for just the ids the states hold, and filled in two parts
-        tails = ids[ids >= kg.n_ids] % kg.n_ids
-        partial = first_layer_tables(params, env, np.unique(learner), entity[: len(entity) // 2])
-        partial.fill(env, np.concatenate([entity, tails]))
-        got = partial.preactivations(learner, entity, ids)
-        assert np.abs(got - want).max() <= 1e-12
 
 
 def hop_of_features(params, X, matrices, runs):
@@ -601,6 +595,18 @@ class TestTrainAgent:
         with pytest.raises(ConfigError):
             train_agent(kg, table, cfg, BINARY)
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_hops_eval", 3.0), ("epochs", 2.5), ("episodes_per_learner", True),
+        ("hidden", 8.0), ("history", False), ("batch_episodes", 6.0), ("max_actions", 250.0),
+        ("seed", 1.5), ("max_hops_eval", 0), ("episodes_per_learner", 0), ("hidden", 0),
+        ("batch_episodes", 0), ("max_actions", 0), ("epochs", -1), ("history", -1),
+        ("seed", -1),
+    ])
+    def test_count_that_is_not_an_integer_is_config_error(self, name, value):
+        # each count names its field, as SynthConfig's do
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            AgentConfig(**{name: value}).validate()
+
     def test_numpy_integer_counts_are_accepted(self):
         kg, table = self._setup()
         cfg = AgentConfig(epochs=np.int64(1), hidden=np.int32(8), batch_episodes=np.int64(6))
@@ -719,26 +725,6 @@ class TestSinglePass:
         batches = [["tables"] + [("pre", n), ("hop", n)] * budget for n in (6, 2)]
         assert calls == (batches[0] + batches[1]) * cfg.epochs
 
-    def test_a_batch_sets_the_table_rows_of_only_the_ids_it_touches(self, monkeypatch):
-        # a batch's first-layer work grows with its walks, not with the graph
-        kg, env, params, spec = walk_setup("generated", 1)
-        built = []
-        real = policy_module.first_layer_tables
-
-        def keeping(params, env, learners, entities):
-            built.append((learners, real(params, env, learners, entities)))
-            return built[-1][1]
-
-        monkeypatch.setattr(policy_module, "first_layer_tables", keeping)
-        learners = kg.learners()[2:4] * 2
-        draws = np.array([np.random.default_rng(i).random(4) for i in range(len(learners))])
-        episodes = sample_episodes(learners, env, params, spec, 4, draws)
-        ((indices, tables),) = built
-        assert indices.tolist() == [2, 3]
-        entered = {int(e) for hop in episodes[0].hops for e in hop.keys[:, 0]}
-        assert set(np.flatnonzero(tables.filled).tolist()) == entered
-        assert len(entered) < kg.n_ids
-
     def test_one_baseline_product_per_hop_of_a_batch(self, monkeypatch):
         kg, table, cfg = self._setup()
         calls = []
@@ -798,11 +784,8 @@ class TestSinglePass:
             hops, env = episodes[0].hops, episodes[0].env
             assert all(ep.hops is hops for ep in episodes)
             assert [ep.row for ep in episodes] == list(range(len(episodes)))
-            # the batch's tables, set hop by hop as the rollout set them
-            keys = hops[0].keys
-            tables = first_layer_tables(params, env, np.unique(keys[:, 1]), keys[:, 0])
+            tables = first_layer_tables(params, env)
             for hop in hops:
-                tables.fill(env, hop.keys[:, 0])
                 pre = tables.preactivations(hop.keys[:, 1], hop.keys[:, 0], hop.keys[:, 2:])
                 fresh = hop_from_preactivation(params, pre, hop.matrices, hop.runs)
                 for name in ("hidden", "probs", "log_probs", "starts", "seg", "entropy"):
