@@ -102,9 +102,8 @@ def _expand(
     probable actions, best first.
 
     Returns each state's number of kept actions, and each kept action's state,
-    slot in its action set and log-probability. The states' -log_probs are
-    sorted in rows padded with +inf; the sort is stable, so ties keep action
-    order.
+    action id and log-probability. The states' -log_probs are sorted in rows
+    padded with +inf; the sort is stable, so ties keep action order.
     """
     hop = hop_from_preactivation(params, pre, [aset.matrix for aset in asets], runs)
     sizes, starts, seg = hop.sizes, hop.starts, hop.seg
@@ -114,7 +113,11 @@ def _expand(
     n_kept = np.minimum(sizes, width)
     kept_state = np.repeat(np.arange(len(sizes)), n_kept)
     kept_slot = top[np.arange(top.shape[1]) < n_kept[:, None]]
-    return n_kept, kept_state, kept_slot, hop.log_probs[starts[kept_state] + kept_slot]
+    # the kept actions' ids, gathered from the runs' action sets
+    set_sizes = np.array([len(aset.action_ids) for aset in asets])
+    at = np.repeat(np.cumsum(set_sizes) - set_sizes, runs)[kept_state] + kept_slot
+    kept_id = np.concatenate([aset.action_ids for aset in asets])[at]
+    return n_kept, kept_state, kept_id, hop.log_probs[starts[kept_state] + kept_slot]
 
 
 def _child_states(
@@ -135,13 +138,18 @@ def _child_states(
     return child_of, child[new]
 
 
-# learners per level-synchronous search in `recommend_all`. A block's levels
-# are held until it is ranked, and a level's hidden layers (4 KB a state at
-# PGPR width) at once, so the block size bounds the search's memory: at 4,
-# its tracemalloc peak on the benchmark workloads is at most 1.2 MB above
-# that of searching one learner at a time. The `FirstLayer` tables add a
-# constant to both, 1.6 MB at PGPR width.
-BLOCK_LEARNERS = 4
+# The bytes one level-synchronous search in `recommend_all` may hold. A
+# block keeps two back-pointers per prefix until it is ranked, and takes as
+# many bytes again in the prefix-length arrays (scores, states, slots) that
+# grow a level; a state of its widest level holds its pre-activation row, the
+# table row gathered into it, and its query. Blocks are sized from the bytes
+# per learner that the block before held, so after the first few the
+# hidden-64 shapes get 10-13 learners a block on `deep` and up to 28-31 on
+# `desk`, and PGPR width (hidden 512) 5-7. One warm `recommend_all` on the seed-0 benchmark graph peaks under
+# tracemalloc, with its action sets and `FirstLayer` tables (1.6 MB at PGPR
+# width, 0.2 MB on the others), at 3.7 MB on `desk`, 7.5 MB on `paper-width`
+# and 3.9 MB on `deep`: 1.9, 0.6 and 1.5 MB above fixed blocks of four.
+SEARCH_BUDGET_BYTES = 3_000_000
 
 
 def search_block(
@@ -150,9 +158,10 @@ def search_block(
     params: dict[str, np.ndarray],
     beam_widths: tuple[int, ...],
     tables: FirstLayer,
-) -> list[Beam]:
+) -> tuple[list[Beam], int]:
     """Each learner's `beam_search`, run level-synchronously over all of them,
-    with `tables` the `first_layer_tables` of `params` over `env`.
+    with `tables` the `first_layer_tables` of `params` over `env`, and the
+    number of states of the widest level.
 
     At level k each surviving prefix keeps its beam_widths[k] most probable
     actions (ties broken by action order, so runs are reproducible). The
@@ -177,24 +186,24 @@ def search_block(
     for width in beam_widths:
         check_count(width, "beam width")
     if not learners:
-        return []
+        return [], 0
     key = start_keys(env, learners)  # the rows are kept sorted
     order = np.lexsort(key.T[::-1])
     key = key[order]
     state_of = np.argsort(order)  # each prefix's state; prefix b is learner b's
     acc = np.zeros(len(learners))
     levels = []  # per level: each prefix's parent prefix and last hop's action id
+    n_states = 0
     for level, width in enumerate(beam_widths):
+        n_states = max(n_states, len(key))
         entity = key[:, 0]
         run_start = np.flatnonzero(np.concatenate(([True], entity[1:] != entity[:-1])))
         runs = np.concatenate((run_start[1:], [len(entity)])) - run_start
         asets = env.action_sets(entity[run_start].tolist())
-        pre = tables.preactivations(key[:, 1], entity, key[:, 2:])
-        n_kept, kept_state, kept_slot, kept_lp = _expand(params, pre, asets, runs, width)
-        # the kept actions' ids, gathered from the runs' action sets
-        set_sizes = np.array([len(aset.action_ids) for aset in asets])
-        at = np.repeat(np.cumsum(set_sizes) - set_sizes, runs)[kept_state] + kept_slot
-        kept_id = np.concatenate([aset.action_ids for aset in asets])[at]
+        # the pre-activations become the hidden layers, freed when `_expand` returns
+        n_kept, kept_state, kept_id, kept_lp = _expand(
+            params, tables.preactivations(key[:, 1], entity, key[:, 2:]), asets, runs, width
+        )
 
         # every prefix grows by its state's kept actions, in prefix order
         offsets = np.cumsum(n_kept) - n_kept  # each state's first kept action
@@ -202,24 +211,27 @@ def search_block(
         parent = np.repeat(np.arange(len(state_of)), n_grown)
         slot = np.repeat(offsets[state_of] - (np.cumsum(n_grown) - n_grown), n_grown)
         slot += np.arange(len(parent))
-        acc = acc[parent] + kept_lp[slot]
+        acc = acc[parent]
+        acc += kept_lp[slot]
         levels.append((parent, kept_id[slot]))
         if level + 1 == len(beam_widths):
             break
 
         child_of, key = _child_states(key, kept_state, kept_id, env.kg.n_ids)
         state_of = child_of[slot]
+        del n_grown, slot, kept_state, kept_id, kept_lp, child_of  # not held through the next level
 
-    final_course = env.kg.course_index(kept_id[slot] % env.kg.n_ids)
+    final_course = env.kg.course_index(levels[-1][1] % env.kg.n_ids)
     # prefixes are learner-major: learner b's are those of its level-0 prefix b
     owner = np.arange(len(learners))
     for parent, _hop in levels:
         owner = owner[parent]
     bounds = np.searchsorted(owner, np.arange(len(learners) + 1)).tolist()
-    return [
+    beams = [
         Beam(u, levels, env.kg.decode, acc[a:b], final_course[a:b], a)
         for u, a, b in zip(learners, bounds, bounds[1:])
     ]
+    return beams, n_states
 
 
 def beam_search(
@@ -230,7 +242,10 @@ def beam_search(
 ) -> Beam:
     """All completed budget-length paths surviving per-level truncation: the
     one-learner case of `search_block`."""
-    return search_block([learner], env, params, beam_widths, first_layer_tables(params, env))[0]
+    (beam,), _n_states = search_block(
+        [learner], env, params, beam_widths, first_layer_tables(params, env)
+    )
+    return beam
 
 
 def rank_candidates(
@@ -247,9 +262,13 @@ def rank_candidates(
     `Path`s are built only for the listed items.
     """
     check_count(n, "list length n")
-    prefix = np.flatnonzero(
-        (beam.final_course >= 0) & ~np.isin(beam.final_course, list(train_courses))
-    )
+    # by course index, whether a path may end there; a prefix off a course reads
+    # index -1, the spare last slot, which no course index reaches
+    seen = list(train_courses)
+    unseen = np.ones(max(beam.final_course.max(initial=-1), *seen, -1) + 2, dtype=bool)
+    unseen[seen] = False
+    unseen[-1] = False
+    prefix = np.flatnonzero(unseen[beam.final_course])
     course, score = beam.final_course[prefix], beam.acc[prefix]
     # sorted by course, falling score and prefix, each course's run starts with its best
     # prefix; of equal scores the earlier prefix, as a strictly-greater update would keep
@@ -273,19 +292,30 @@ def recommend_all(
 ) -> tuple[dict[int, RecommendationList], float]:
     """Per-learner lists plus the fraction of learners with short lists.
 
-    The learners are searched in blocks of `BLOCK_LEARNERS`, all from one
-    `first_layer_tables`, and each block's beams are ranked and released
-    before the next block starts.
+    The learners are searched in blocks, all from one `first_layer_tables`,
+    and each block's beams are ranked and released before the next block
+    starts. The first block is one learner; each next one is as many as fit
+    `SEARCH_BUDGET_BYTES` at the bytes per learner its predecessor held, and
+    at most four times as many, so that a light learner cannot size a heavy
+    block.
     """
     check_count(n, "list length n")
     tables = first_layer_tables(params, env)
+    state_bytes = 8 * (2 * len(params["proj"]) + params["proj"].shape[1])
     recs: list[RecommendationList] = []
-    for start in range(0, len(learners), BLOCK_LEARNERS):
-        block = learners[start : start + BLOCK_LEARNERS]
+    start, size = 0, 1
+    while start < len(learners):
+        block = learners[start : start + size]
+        beams, n_states = search_block(block, env, params, beam_widths, tables)
+        levels = sum(parent.nbytes + hop.nbytes for parent, hop in beams[0].levels)
+        held = 2 * levels + n_states * state_bytes  # as SEARCH_BUDGET_BYTES counts them
         recs += [
             rank_candidates(beam, u, train_sets.get(u.index, frozenset()), n)
-            for u, beam in zip(block, search_block(block, env, params, beam_widths, tables))
+            for u, beam in zip(block, beams)
         ]
+        del beams  # released before the next block is searched
+        start += len(block)
+        size = max(1, min(SEARCH_BUDGET_BYTES * len(block) // held, 4 * len(block)))
     invalid = sum(1 for rec in recs if not rec.is_valid)
     return {rec.learner.index: rec for rec in recs}, invalid / len(learners) if learners else 0.0
 

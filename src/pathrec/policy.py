@@ -172,7 +172,8 @@ class FirstLayer(NamedTuple):
         hop. Such a slot and a self-loop's have zero features: they take the
         self-loop's zero relation row and the zero tail row."""
         n_ids = len(self.current)
-        pre = self.start[learner] + self.current[entity]
+        pre = self.start[learner]  # a copy; each sum below adds in place
+        pre += self.current[entity]
         for relation, tail, ids in zip(self.relation, self.tail, history.T):
             rel, ent = np.divmod(ids, n_ids)
             real = ids >= n_ids  # a self-loop's id is its entity's, below n_ids
@@ -273,10 +274,12 @@ def hop_from_preactivation(
     sizes = np.repeat([len(m) for m in matrices], runs)
     starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(len(sizes)), sizes)
-    shifted = logits - np.maximum.reduceat(logits, starts)[seg]
-    exp = np.exp(shifted)
-    z = np.add.reduceat(exp, starts)
-    probs, log_probs = exp / z[seg], shifted - np.log(z)[seg]
+    # shifted, exponentiated and normalised in place: the same bits, in half the arrays
+    logits -= np.maximum.reduceat(logits, starts)[seg]
+    probs = np.exp(logits)
+    z = np.add.reduceat(probs, starts)
+    probs /= z[seg]
+    log_probs = np.subtract(logits, np.log(z)[seg], out=logits)
     entropy = -np.add.reduceat(probs * log_probs, starts)
     return Hop(hidden, matrices, runs, probs, log_probs, sizes, starts, seg, entropy)
 

@@ -20,9 +20,12 @@ from pathrec.inference import (
     load_recommendations,
     rank_candidates,
     recommend_all,
+    search_block,
     write_recommendations,
 )
-from pathrec.policy import AgentConfig, hop_from_preactivation, init_policy, policy_forward
+from pathrec.policy import (
+    AgentConfig, first_layer_tables, hop_from_preactivation, init_policy, policy_forward,
+)
 from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
@@ -94,12 +97,13 @@ def assert_same_list(got, want):
     ]
 
 
-def synth_setup(history, d=6, hidden=8, isolated=None):
+def synth_setup(history, d=6, hidden=8, isolated=None, n_learners=12):
     """A small generated graph, untrained embeddings and an untrained policy;
     learner `isolated`, if given, loses its enrollments, so that its only
     action is the self-loop."""
     kg = generate(SynthConfig(
-        n_learners=12, n_courses=15, n_teachers=3, n_categories=2, n_concepts=5, n_clusters=2,
+        n_learners=n_learners, n_courses=15, n_teachers=3, n_categories=2, n_concepts=5,
+        n_clusters=2,
     ))
     if isolated is not None:
         kg = kg.replace_enrollments({e for e in kg.edges["enrolled"] if e[0] != isolated})
@@ -107,6 +111,44 @@ def synth_setup(history, d=6, hidden=8, isolated=None):
     env = PathEnv(kg, table, max_actions=250, history_len=history)
     params = init_policy(d, AgentConfig(hidden=hidden, history=history, seed=3))
     return kg, env, params
+
+
+def record_blocks(monkeypatch) -> list[int]:
+    """The size of each block `recommend_all` searches from now on, in order."""
+    sizes = []
+
+    def recording_search(learners, *args):
+        sizes.append(len(learners))
+        return search_block(learners, *args)
+
+    monkeypatch.setattr(inference, "search_block", recording_search)
+    return sizes
+
+
+def count_forward_passes(monkeypatch) -> list[int]:
+    """The number of states of each level the search scores from now on."""
+    calls = []
+
+    def counting_forward(params, pre, matrices, runs):
+        calls.append(pre.shape[0])
+        return hop_from_preactivation(params, pre, matrices, runs)
+
+    monkeypatch.setattr(inference, "hop_from_preactivation", counting_forward)
+    return calls
+
+
+def ranked_in_blocks(learners, env, params, train, widths, size, n):
+    """`recommend_all`'s lists and invalid fraction, with the learners searched
+    in blocks of `size`."""
+    tables = first_layer_tables(params, env)
+    lists = {}
+    for start in range(0, len(learners), size):
+        block = learners[start : start + size]
+        beams, _n_states = search_block(block, env, params, widths, tables)
+        for u, beam in zip(block, beams):
+            lists[u.index] = rank_candidates(beam, u, train[u.index], n)
+    short = sum(1 for u in learners if not lists[u.index].is_valid)
+    return lists, short / len(learners)
 
 
 # beam search at PGPR width (d=100, hidden 512) on the generated graph; prints
@@ -438,7 +480,6 @@ class TestRecommendAll:
         # 0 repeats within a block and 3 across blocks
         kg, env, params = synth_setup(history, isolated=5)
         learners = [L(i) for i in (3, 0, 5, 0, 7, 1, 3, 9, 2, 11)]
-        assert len(learners) > inference.BLOCK_LEARNERS
         assert env.action_set(L(5)).actions == ((SELF_LOOP, L(5)),)
         train = {u.index: frozenset({u.index % 15, (3 * u.index) % 15}) for u in kg.learners()}
         alone, oracle = {}, {}
@@ -448,9 +489,12 @@ class TestRecommendAll:
             pairs = reference_beam_search(u, env, params, widths)
             oracle[u.index] = reference_rank_candidates(pairs, u, train[u.index], 5)
         assert alone[5].items == ()
-        for block in (1, 3, inference.BLOCK_LEARNERS, len(learners)):
-            monkeypatch.setattr(inference, "BLOCK_LEARNERS", block)
-            lists, invalid = recommend_all(learners, env, params, train, widths, n=5)
+        blocks = record_blocks(monkeypatch)
+        runs = [recommend_all(learners, env, params, train, widths, n=5)]
+        assert 1 < len(blocks) < len(learners)  # the budget's own partition
+        for size in (1, 3, len(learners)):
+            runs.append(ranked_in_blocks(learners, env, params, train, widths, size, n=5))
+        for lists, invalid in runs:
             assert sorted(lists) == sorted({u.index for u in learners})
             for u in learners:
                 for want in (alone[u.index], oracle[u.index]):
@@ -467,20 +511,13 @@ class TestRecommendAll:
     def test_one_forward_pass_per_level_of_each_block(self, monkeypatch):
         kg, env, params = synth_setup(history=1)
         learners = kg.learners()[:10]
-        calls = []
-
-        def counting_forward(params, pre, matrices, runs):
-            calls.append(pre.shape[0])
-            return hop_from_preactivation(params, pre, matrices, runs)
-
-        monkeypatch.setattr(inference, "hop_from_preactivation", counting_forward)
+        calls = count_forward_passes(monkeypatch)
+        blocks = record_blocks(monkeypatch)
         recommend_all(learners, env, params, TRAIN, FIVE_HOPS, n=5)
-        size = inference.BLOCK_LEARNERS
-        blocks = [learners[i : i + size] for i in range(0, len(learners), size)]
-        assert len(blocks) > 1
+        assert len(blocks) > 1 and sum(blocks) == len(learners)
         assert len(calls) == len(blocks) * len(FIVE_HOPS)
         # a block's first level has one state per learner
-        assert calls[:: len(FIVE_HOPS)] == [len(block) for block in blocks]
+        assert calls[:: len(FIVE_HOPS)] == blocks
 
     @pytest.mark.parametrize("history", [0, 1, 2])
     def test_search_builds_no_features(self, monkeypatch, history):
@@ -498,13 +535,15 @@ class TestRecommendAll:
         got, _ = recommend_all(learners, env, params, TRAIN, FIVE_HOPS, n=5)
         assert got == want
 
-    def test_search_memory_is_bounded_by_the_block(self):
-        # the same two blocks of learners searched once and three times over:
-        # only the block is held at a time, so the peak stays put
+    def test_search_memory_is_bounded_by_the_block(self, monkeypatch):
+        # the same learners searched once and three times over, under a budget
+        # of about four of them: only a block is held at a time, so the peak
+        # stays put
+        monkeypatch.setattr(inference, "SEARCH_BUDGET_BYTES", 160_000)
         kg, env, params = synth_setup(history=1, d=16, hidden=32)
         for e in range(kg.n_ids):
             env.action_set(kg.entity_of(e))  # the cache of action sets is not the search's
-        learners = kg.learners()[: 2 * inference.BLOCK_LEARNERS]
+        learners = kg.learners()[:8]
         peaks = []
         for repeats in (1, 3):
             tracemalloc.start()
@@ -515,10 +554,41 @@ class TestRecommendAll:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    def test_the_budget_bounds_the_search_memory(self, monkeypatch):
+        # five hops on 48 learners: a hidden-512 state is wide enough that the
+        # budget, not the fourfold growth of the blocks, cuts them, and the
+        # peak stays within it; a hidden-32 block holds many learners
+        blocks = {}
+        for hidden in (512, 32):
+            kg, env, params = synth_setup(history=1, hidden=hidden, n_learners=48)
+            for e in range(kg.n_ids):
+                env.action_set(kg.entity_of(e))  # the cache of action sets is not the search's
+            first = first_layer_tables(params, env)
+            tables = sum(a.nbytes for a in (first.start, first.current, *first.relation))
+            tables += sum(a.nbytes for a in first.tail)
+            calls = count_forward_passes(monkeypatch)
+            tracemalloc.start()
+            try:
+                recommend_all(kg.learners(), env, params, {}, FIVE_HOPS, n=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a block's first level has one state per learner
+            blocks[hidden] = calls[:: len(FIVE_HOPS)]
+            assert sum(blocks[hidden]) == len(kg.learners())
+            if hidden == 512:
+                # a block is sized from the bytes per learner of the block
+                # before it, so it holds more than the budget by as much as its
+                # learners are heavier: up to a tenth
+                assert peak <= 1.1 * inference.SEARCH_BUDGET_BYTES + tables, (peak, tables)
+        assert blocks[512][2] < 4 * blocks[512][1], blocks
+        assert len(blocks[512]) > len(blocks[32])
+        assert min(blocks[32][1:]) > 1, blocks
+
     def test_empty_list_and_non_learners(self):
         kg, env, params = synth_setup(history=1)
         assert recommend_all([], env, params, TRAIN, FIVE_HOPS) == ({}, 0.0)
-        learners = kg.learners()[: inference.BLOCK_LEARNERS + 2]
+        learners = kg.learners()[:6]  # past the first two blocks: one learner, then at most four
         with pytest.raises(TypeError):
             recommend_all([*learners, C(1)], env, params, TRAIN, FIVE_HOPS)
         with pytest.raises(KeyError):
