@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import CheckpointMismatchError, ConfigError, check_count, open_text
+from .errors import CheckpointMismatchError, ConfigError, DataError, check_count, open_text
 from .kg import Edge as Action, KnowledgeGraph  # Action: (relation name, tail entity)
-from .schema import ACTION_RELATIONS, SELF_LOOP, EntityRef
+from .schema import ACTION_RELATIONS, RELATION_SCHEMA, SELF_LOOP, EntityRef
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,10 @@ class ActionSet:
 
 
 class PathEnv:
-    """Walks over a fixed graph with embedding-pruned action spaces.
-
-    Action sets depend only on the entity being stood on, so they are
-    cached per entity id; the environment is read-only and shareable.
-    """
+    """Walks over a fixed graph with embedding-pruned action spaces, all built
+    at construction: the entity of id e has the actions act_ids[act_ptr[e] :
+    act_ptr[e + 1]], whose `ActionSet.matrix` is act_matrices[e]. Read-only
+    and shareable."""
 
     def __init__(
         self,
@@ -144,7 +143,6 @@ class PathEnv:
         self.embeddings = embeddings
         self.max_actions = max_actions
         self.history_len = history_len
-        self._action_sets: dict[int, ActionSet] = {}
         # an action's row is [relation feature vector ; tail vector]: one row per
         # relation id, and one per entity id (the policy's first-layer tables
         # read them too)
@@ -152,6 +150,20 @@ class PathEnv:
             embeddings.feature_relation_vector(rel) for rel in ACTION_RELATIONS
         ])
         self.entity_rows = embeddings.W[: kg.n_ids]
+        # each entity's self-loop first (its id is the entity's, below n_ids), then
+        # its edges by falling score, ties in CSR order (the sort is stable)
+        ids, keys = [np.empty(0, np.int64)], [np.empty(0)]  # a graph may hold no entity
+        for e in range(kg.n_ids):
+            row = kg.edge_ids(e)
+            ids += [[e], row]
+            keys += [[-np.inf], -embeddings.score_edges(e, row)]
+        ids, keys = np.concatenate(ids), np.concatenate(keys)
+        head = np.cumsum(ids < kg.n_ids) - 1
+        order = np.lexsort((keys, head))
+        kept = np.arange(len(ids)) - np.searchsorted(head, head) <= max_actions  # rank in head
+        self.act_ids = ids[order[kept]]
+        self.act_ptr = np.searchsorted(head[kept], np.arange(kg.n_ids + 1))
+        self.act_matrices = np.split(self.action_rows(self.act_ids), self.act_ptr[1:-1])
 
     def action_rows(self, action_ids: np.ndarray) -> np.ndarray:
         """The `ActionSet.matrix` rows of the given actions: one gather of
@@ -168,21 +180,10 @@ class PathEnv:
             raise ValueError("hop_budget must be >= 1")
         return EnvState(start=learner, current=learner, history=(), hops_remaining=hop_budget)
 
-    def action_sets(self, entity_ids: list[int]) -> list[ActionSet]:
-        """The action sets of the entities with these ids."""
-        cached = self._action_sets
-        return [cached.get(e) or self.action_set(self.kg.entity_of(e)) for e in entity_ids]
-
     def action_set(self, entity: EntityRef) -> ActionSet:
         entity_id = self.kg.entity_id(entity)
-        if entity_id in self._action_sets:
-            return self._action_sets[entity_id]
-        edge_ids = self.kg.edge_ids(entity_id)
-        scores = self.embeddings.score_edges(entity_id, edge_ids)
-        kept = edge_ids[np.argsort(-scores, kind="stable")[: self.max_actions]]
-        ids = np.concatenate(([entity_id], kept))  # the self_loop's relation id is 0
-        self._action_sets[entity_id] = ActionSet(self.kg.decode(ids), self.action_rows(ids), ids)
-        return self._action_sets[entity_id]
+        ids = self.act_ids[self.act_ptr[entity_id] : self.act_ptr[entity_id + 1]]
+        return ActionSet(self.kg.decode(ids), self.act_matrices[entity_id], ids)
 
     def actions(self, state: EnvState) -> tuple[Action, ...]:
         """Self_loop first, then pruned outgoing edges by score descending."""
@@ -204,11 +205,15 @@ class PathEnv:
 
 
 def load_pattern_whitelist(path: str) -> set[tuple[str, ...]]:
-    """One pattern per line, relation names joined by '|'."""
+    """One pattern per line, names of `RELATION_SCHEMA` joined by '|'."""
     patterns: set[tuple[str, ...]] = set()
     with open_text(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                patterns.add(tuple(line.split("|")))
+                pattern = tuple(line.split("|"))
+                for name in pattern:
+                    if name not in RELATION_SCHEMA:
+                        raise DataError(f"{path}:{lineno}: unknown relation name {name!r}")
+                patterns.add(pattern)
     return patterns

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Action, ActionSet, Path, PathEnv
+from .environment import Action, Path, PathEnv
 from .errors import ConfigError, DataError, atomic_write, check_count, open_text
 from .kg import KnowledgeGraph
 from .policy import FirstLayer, first_layer_tables, hop_from_preactivation, start_keys, step_keys
@@ -94,18 +94,18 @@ class Beam:
 
 
 def _expand(
-    params: dict[str, np.ndarray], pre: np.ndarray, asets: list[ActionSet],
+    params: dict[str, np.ndarray], pre: np.ndarray, env: PathEnv, heads: np.ndarray,
     runs: np.ndarray, width: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score a level's states from their first-layer pre-activations `pre`,
-    run r of runs[r] states over asets[r], and keep each state's `width` most
-    probable actions, best first.
+    run r of runs[r] states on `env`'s entity of id heads[r], and keep each
+    state's `width` most probable actions, best first.
 
     Returns each state's number of kept actions, and each kept action's state,
     action id and log-probability. The states' -log_probs are sorted in rows
     padded with +inf; the sort is stable, so ties keep action order.
     """
-    hop = hop_from_preactivation(params, pre, [aset.matrix for aset in asets], runs)
+    hop = hop_from_preactivation(params, pre, [env.act_matrices[e] for e in heads.tolist()], runs)
     sizes, starts, seg = hop.sizes, hop.starts, hop.seg
     padded = np.full((len(sizes), sizes.max()), np.inf)
     padded[seg, np.arange(len(seg)) - starts[seg]] = -hop.log_probs
@@ -113,10 +113,7 @@ def _expand(
     n_kept = np.minimum(sizes, width)
     kept_state = np.repeat(np.arange(len(sizes)), n_kept)
     kept_slot = top[np.arange(top.shape[1]) < n_kept[:, None]]
-    # the kept actions' ids, gathered from the runs' action sets
-    set_sizes = np.array([len(aset.action_ids) for aset in asets])
-    at = np.repeat(np.cumsum(set_sizes) - set_sizes, runs)[kept_state] + kept_slot
-    kept_id = np.concatenate([aset.action_ids for aset in asets])[at]
+    kept_id = env.act_ids[np.repeat(env.act_ptr[heads], runs)[kept_state] + kept_slot]
     return n_kept, kept_state, kept_id, hop.log_probs[starts[kept_state] + kept_slot]
 
 
@@ -145,10 +142,10 @@ def _child_states(
 # table row gathered into it, and its query. Blocks are sized from the bytes
 # per learner that the block before held, so after the first few the
 # hidden-64 shapes get 10-13 learners a block on `deep` and up to 28-31 on
-# `desk`, and PGPR width (hidden 512) 5-7. One warm `recommend_all` on the seed-0 benchmark graph peaks under
-# tracemalloc, with its action sets and `FirstLayer` tables (1.6 MB at PGPR
-# width, 0.2 MB on the others), at 3.7 MB on `desk`, 7.5 MB on `paper-width`
-# and 3.9 MB on `deep`: 1.9, 0.6 and 1.5 MB above fixed blocks of four.
+# `desk`, and PGPR width (hidden 512) 5-7. One warm `recommend_all` on the
+# seed-0 benchmark graph peaks under tracemalloc, with its `FirstLayer` tables
+# (1.6 MB at PGPR width, 0.2 MB on the others), at 2.7 MB on `desk`, 4.3 MB on
+# `paper-width` and 3.0 MB on `deep`: 2.1, 0.9 and 1.8 MB above blocks of four.
 SEARCH_BUDGET_BYTES = 3_000_000
 
 
@@ -197,12 +194,10 @@ def search_block(
     for level, width in enumerate(beam_widths):
         n_states = max(n_states, len(key))
         entity = key[:, 0]
-        run_start = np.flatnonzero(np.concatenate(([True], entity[1:] != entity[:-1])))
-        runs = np.concatenate((run_start[1:], [len(entity)])) - run_start
-        asets = env.action_sets(entity[run_start].tolist())
+        heads, runs = np.unique(entity, return_counts=True)  # the keys are sorted
         # the pre-activations become the hidden layers, freed when `_expand` returns
         n_kept, kept_state, kept_id, kept_lp = _expand(
-            params, tables.preactivations(key[:, 1], entity, key[:, 2:]), asets, runs, width
+            params, tables.preactivations(key[:, 1], entity, key[:, 2:]), env, heads, runs, width
         )
 
         # every prefix grows by its state's kept actions, in prefix order

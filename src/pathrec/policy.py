@@ -407,10 +407,9 @@ def sample_episodes(
     tables = first_layer_tables(params, env)
     hops, taken = [], []
     for t in range(hop_budget):
-        asets = env.action_sets(key[:, 0].tolist())
         pre = tables.preactivations(key[:, 1], key[:, 0], key[:, 2:])
-        matrices = [aset.matrix for aset in asets]
-        hop = hop_from_preactivation(params, pre, matrices, np.ones(len(asets), int))
+        matrices = [env.act_matrices[e] for e in key[:, 0].tolist()]
+        hop = hop_from_preactivation(params, pre, matrices, np.ones(len(key), int))
         hop.keys = key
         # a zero-padded row per walk: its running sums are those of its segment
         padded = np.zeros((len(hop.sizes), hop.sizes.max()))
@@ -418,7 +417,7 @@ def sample_episodes(
         below = np.count_nonzero(np.cumsum(padded, axis=1) <= draws[:, [t]], axis=1)
         hop.chosen = np.minimum(below, hop.sizes - 1)
         hops.append(hop)
-        action_ids = np.concatenate([aset.action_ids for aset in asets])[hop.starts + hop.chosen]
+        action_ids = env.act_ids[env.act_ptr[key[:, 0]] + hop.chosen]
         taken.append(action_ids)
         key = step_keys(key, action_ids, env.kg.n_ids)
     entropy = sum(hop.entropy for hop in hops) / hop_budget

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathrec.embeddings import EmbedConfig, init_embeddings
+from pathrec.embeddings import EmbedConfig, EmbeddingTable, init_embeddings
 from pathrec.environment import (
     Path,
     PathEnv,
@@ -10,8 +10,9 @@ from pathrec.environment import (
     reward,
 )
 from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
+from pathrec.inference import recommend_all
 from pathrec.kg import KnowledgeGraph
-from pathrec.policy import AgentConfig, train_agent
+from pathrec.policy import AgentConfig, init_policy, sample_episodes, train_agent
 from pathrec.schema import SELF_LOOP, EntityRef
 from pathrec.synthetic import SynthConfig, generate
 
@@ -83,6 +84,11 @@ class TestConstruction:
         with pytest.raises(CheckpointMismatchError, match="do not match the graph"):
             train_agent(tiny_kg, table, cfg, BINARY)
 
+    def test_a_graph_without_entities_has_an_empty_table(self):
+        kg = KnowledgeGraph({}, {})
+        env = PathEnv(kg, init_embeddings(kg, EmbedConfig(d=4, seed=0)))
+        assert env.act_ptr.tolist() == [0] and env.act_ids.size == 0
+
     @pytest.mark.parametrize("setting", [
         {"max_actions": 0}, {"max_actions": 2.5}, {"max_actions": True},
         {"history_len": -1}, {"history_len": 1.5}, {"history_len": True},
@@ -145,7 +151,7 @@ class TestActions:
 
 
 class TestActionIds:
-    @pytest.mark.parametrize("graph", ["tiny", "school", "generated"])
+    @pytest.mark.parametrize("graph", ["tiny", "school", "generated", "tied"])
     @pytest.mark.parametrize("max_actions", [250, 3])
     def test_action_sets_equal_the_row_by_row_build(self, graph, max_actions):
         if graph == "generated":
@@ -154,6 +160,11 @@ class TestActionIds:
         else:
             kg = make_tiny_kg(with_school=graph == "school")
         table = init_embeddings(kg, EmbedConfig(d=5, seed=3))
+        if graph == "tied":
+            # category g1's four belongs_to_inv edges (courses 2-5) all score
+            # exactly 0.0, so a cut at 3 falls inside the tie
+            table.entity["course"][2:6] = 0.0
+            table.relation["belongs_to"][:] = 0.0
         env = PathEnv(kg, table, max_actions=max_actions, history_len=1)
         action_of_id, adjacency = {}, reference_adjacency(kg)
         for etype, raws in kg.vocab.items():
@@ -181,6 +192,31 @@ class TestActionIds:
                     assert action_of_id.setdefault(i, action) == action
         # equal ids are equal actions, and equal actions equal ids
         assert len(set(action_of_id.values())) == len(action_of_id)
+
+    def test_the_table_is_built_once(self, monkeypatch):
+        # every entity's edges are scored at construction, and neither the
+        # search nor the rollouts score them again
+        kg = generate(SynthConfig(n_learners=12, n_courses=15, n_teachers=3, n_categories=2,
+                                  n_concepts=5, n_clusters=2))
+        table = init_embeddings(kg, EmbedConfig(d=5, seed=3))
+        calls = []
+        score_edges = EmbeddingTable.score_edges
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return score_edges(self, *args)
+
+        monkeypatch.setattr(EmbeddingTable, "score_edges", counted)
+        env = PathEnv(kg, table, max_actions=3, history_len=1)
+        assert sorted(calls) == list(range(kg.n_ids))
+        params = init_policy(5, AgentConfig(hidden=8, seed=1))
+        learners = kg.learners()
+        calls.clear()
+        recommend_all(learners, env, params, {}, (5, 3, 2))
+        assert calls == []
+        draws = np.random.default_rng(0).random((len(learners), 3))
+        sample_episodes(learners, env, params, BINARY, 3, draws)
+        assert calls == []
 
     def test_unknown_entity_has_no_id_or_action_set(self, tiny_env):
         # learner 4 is one past the last learner: its id would alias teacher 0's
@@ -348,3 +384,16 @@ def test_whitelist_non_utf8_byte_is_data_error(tmp_path):
     path.write_text("enrolled|enrolled_inv|enrolled\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"patterns\.txt: not UTF-8"):
         load_pattern_whitelist(put_bad_byte(path, 4))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("enroled|teaches_inv|teaches\nself_loop|enrolled\n", r":1: .*'enroled'"),
+    ("# comment\nenrolled|enrolled_inv|enrolled\nself_loop|enrolled\n", r":3: .*'self_loop'"),
+])
+def test_whitelist_unknown_relation_name_is_data_error(tmp_path, text, where):
+    # a pattern naming a relation no stripped path holds could never match,
+    # so pgpr would pay 0 for every path without a word
+    path = tmp_path / "patterns.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=r"patterns\.txt" + where):
+        load_pattern_whitelist(str(path))

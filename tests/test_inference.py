@@ -541,8 +541,6 @@ class TestRecommendAll:
         # stays put
         monkeypatch.setattr(inference, "SEARCH_BUDGET_BYTES", 160_000)
         kg, env, params = synth_setup(history=1, d=16, hidden=32)
-        for e in range(kg.n_ids):
-            env.action_set(kg.entity_of(e))  # the cache of action sets is not the search's
         learners = kg.learners()[:8]
         peaks = []
         for repeats in (1, 3):
@@ -561,8 +559,6 @@ class TestRecommendAll:
         blocks = {}
         for hidden in (512, 32):
             kg, env, params = synth_setup(history=1, hidden=hidden, n_learners=48)
-            for e in range(kg.n_ids):
-                env.action_set(kg.entity_of(e))  # the cache of action sets is not the search's
             first = first_layer_tables(params, env)
             tables = sum(a.nbytes for a in (first.start, first.current, *first.relation))
             tables += sum(a.nbytes for a in first.tail)
