@@ -162,24 +162,28 @@ def batch_loss_and_grads(
     `W` holds the rows of each entity type in ENTITY_TYPES order, then one row
     per relation in RELATIONS order. A `batch` row is (position of its relation
     in RELATIONS, head row, tail row); `negatives[i]` holds the (m,) corrupting
-    tail rows of batch[i]. `scratch` is a `_scratch` pair, allocated if omitted.
+    tail rows of batch[i]; a batch not grouped by relation is first sorted by it,
+    stably. `scratch` is a `_scratch` pair, allocated if omitted.
     """
     d, m = W.shape[1], negatives.shape[1]
     weights, bins = scratch or _scratch(len(batch), m, d)
-    order = np.argsort(batch[:, 0], kind="stable")  # by relation, rows ascending within
-    r_sorted, h, t = batch[order].T
-    rel_ids, starts = np.unique(r_sorted, return_index=True)
-    HR = W[h] + W[r_sorted - len(RELATIONS)]
-    T, T_neg = W[t], W[negatives[order]]  # (B, d), (B, m, d)
+    if np.any(batch[1:, 0] < batch[:-1, 0]):
+        order = np.argsort(batch[:, 0], kind="stable")  # by relation, rows ascending within
+        batch, negatives = batch[order], negatives[order]
+    r, h, t = batch.T
+    starts = np.flatnonzero(np.diff(r, prepend=-1))
+    HR = W[h] + W[r - len(RELATIONS)]
+    T, T_neg = W[t], W[negatives]  # (B, d), (B, m, d)
     f_pos, f_neg = np.einsum("bd,bd->b", HR, T), np.einsum("bd,bmd->bm", HR, T_neg)
     coef_pos, coef_neg = -stable_sigmoid(-f_pos), stable_sigmoid(f_neg)  # dL/df_pos, dL/df_neg
+    loss_pos, loss_neg = softplus(-f_pos), softplus(f_neg)
     dHR = coef_pos[:, None] * T + np.einsum("bm,bmd->bd", coef_neg, T_neg)
     # Terms go group by group in ascending relation order, each as head rows,
     # relation row, tail rows, negative rows: every bin adds its terms in the
     # order per-tensor `np.add.at` scatters did, so the sums are bit-equal.
     loss, k, rows = 0.0, 0, []
-    for r, s, e in zip(rel_ids, starts, [*starts[1:], len(batch)]):
-        loss += float(np.sum(softplus(-f_pos[s:e])) + np.sum(softplus(f_neg[s:e])))
+    for rel, s, e in zip(r[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(batch)]):
+        loss += float(np.sum(loss_pos[s:e]) + np.sum(loss_neg[s:e]))
         b = e - s
         terms = weights[k : k + (2 + m) * b + 1]
         k += len(terms)
@@ -187,7 +191,7 @@ def batch_loss_and_grads(
         terms[b] = dHR[s:e].sum(axis=0)
         terms[b + 1 : 2 * b + 1] = coef_pos[s:e, None] * HR[s:e]
         np.multiply(coef_neg[s:e, :, None], HR[s:e, None], out=terms[2 * b + 1 :].reshape(b, m, d))
-        rows += [h[s:e], [len(W) - len(RELATIONS) + r], t[s:e], negatives[order[s:e]].ravel()]
+        rows += [h[s:e], [len(W) - len(RELATIONS) + rel], t[s:e], negatives[s:e].ravel()]
     np.add(np.concatenate(rows)[:, None] * d, np.arange(d), out=bins[: k * d].reshape(k, d))
     grad = np.bincount(bins[: k * d], weights[:k].ravel(), minlength=W.size)
     return loss, grad.reshape(W.shape)
@@ -216,10 +220,16 @@ def train_embeddings(
     for epoch in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, 3, epoch])
         order = rng.permutation(len(triples))
+        # each batch grouped by relation, stably; its negatives drawn in its own row order
+        batch_start = np.arange(len(order)) // cfg.batch_size * cfg.batch_size
+        grouped = np.lexsort((triples[order, 0], batch_start))
+        epoch_triples, sizes = triples[order[grouped]], tail_sizes[triples[order, 0]]
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            batch = triples[order[start : start + cfg.batch_size]]
-            negatives = draw_negatives(rng, tail_sizes[batch[:, 0]], m) + shift[batch[:, 0], 1:]
+            rows = slice(start, start + cfg.batch_size)
+            batch = epoch_triples[rows]
+            negatives = draw_negatives(rng, sizes[rows], m)[grouped[rows] - start]
+            negatives += shift[batch[:, 0], 1:]
             loss, grad = batch_loss_and_grads(W, batch, negatives, scratch)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")

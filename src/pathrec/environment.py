@@ -77,6 +77,7 @@ class RewardSpec:
     pattern_whitelist: set[tuple[str, ...]] | None = None
     embeddings: EmbeddingTable | None = None
     _denominators: dict[int, float] = field(default_factory=dict, repr=False)
+    _enrolled: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("binary", "pgpr"):
@@ -105,6 +106,25 @@ def reward(path: Path, spec: RewardSpec) -> float:
     if denom <= 0.0:
         return 0.0
     return max(float(v_learner @ table.vector(final)), 0.0) / denom
+
+
+def binary_rewards(
+    spec: RewardSpec, kg: KnowledgeGraph, learners: np.ndarray, taken: np.ndarray
+) -> np.ndarray:
+    """`reward` in binary mode, on ids, of the walks from learner indices
+    `learners` that took the action ids taken[i]. A walk ends on its last
+    action's tail, and its real hops' ids are n_ids or more (a self-loop's is
+    its entity's). `spec` keeps its enrollments as the sorted codes learner *
+    width + course, width one past the largest course, built on first use."""
+    if spec._enrolled is None:
+        pairs = [(u, c) for u, cs in spec.train_enrollments.items() for c in cs]
+        width = 1 + max((c for _u, c in pairs), default=0)
+        spec._enrolled = width, np.sort(np.array([u * width + c for u, c in pairs], np.int64))
+    width, codes = spec._enrolled
+    course = kg.course_index(taken[:, -1] % kg.n_ids)
+    code = np.where((course >= 0) & (course < width), learners * width + course, -1)
+    held = np.searchsorted(codes, code, "right") > np.searchsorted(codes, code, "left")
+    return (held & (np.count_nonzero(taken >= kg.n_ids, axis=1) > 1)).astype(float)
 
 
 @dataclass(frozen=True)

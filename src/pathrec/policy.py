@@ -16,6 +16,9 @@ first-layer pre-activations off them and run `hop_from_preactivation` on
 them. Training runs one such pass per hop over all of a batch's walks, and
 the update reuses it; only `w1`'s gradient needs features, which
 `key_features` gathers.
+
+A training batch is one `Batch` from its rollout to its update; its walks stay
+key rows and action ids, decoded only on demand.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .environment import Path, PathEnv, RewardSpec, reward
+from .environment import Path, PathEnv, RewardSpec, binary_rewards, reward
 from .errors import (
     CheckpointMismatchError, ConfigError, DataError, DivergenceError, atomic_write,
     check_count, read_declared,
@@ -224,15 +227,14 @@ def baseline(params: dict[str, np.ndarray], hidden: np.ndarray):
 
 @dataclass
 class Hop:
-    """`hop_from_preactivation` of a stack of states, and the action each walk took.
+    """`hop_from_preactivation` of a stack of states.
 
     State i has hidden layer hidden[i]. The states come in runs that share an
     action matrix: run r is runs[r] consecutive states over matrices[r].
     Training's hops have runs of one, so there matrices[i] is walk i's. State
     i's distribution is the segment of `probs` and `log_probs` of sizes[i]
     rows from starts[i] (seg[r] is the state of row r), with entropy
-    entropy[i]. `sample_episodes` sets chosen[i], the row walk i took, and
-    keys[i], the key row of walk i's state (see `step_keys`).
+    entropy[i].
     """
 
     hidden: np.ndarray
@@ -244,8 +246,6 @@ class Hop:
     starts: np.ndarray
     seg: np.ndarray
     entropy: np.ndarray
-    chosen: np.ndarray | None = None
-    keys: np.ndarray | None = None
 
 
 def hop_from_preactivation(
@@ -290,26 +290,48 @@ class Step(NamedTuple):
     chosen: int
 
 
-@dataclass
-class Episode:
-    """One sampled walk on `env`, row `row` of each of its batch's `hops`; their
-    forward pass holds for the parameters that sampled it, which its update
-    must use. An update takes the batch whole, in row order, and drops it
-    afterwards, so the hops live no longer than their update."""
+class Episode(NamedTuple):
+    """One walk of a `Batch`: its path, reward, mean entropy over its steps,
+    and each step's state features, action matrix and chosen row."""
 
     path: Path
     reward: float
-    entropy: float  # mean over steps, for logging
-    hops: list[Hop]
-    row: int
-    env: PathEnv
+    entropy: float
+    steps: list[Step]
 
-    @property
-    def steps(self) -> list[Step]:
-        """Each step's state features, action matrix and chosen row."""
-        i = self.row
-        features = key_features(self.env, np.array([h.keys[i] for h in self.hops]))
-        return [Step(x, h.matrices[i], int(h.chosen[i])) for x, h in zip(features, self.hops)]
+
+@dataclass
+class Batch:
+    """One `sample_episodes` batch of walks on `env`, from its rollout to its update.
+
+    Walk i starts at learner index learners[i]. At hop t its state has the
+    key row keys[t, i] (see `step_keys`), and it takes row chosen[i, t] of
+    its action set, the action id taken[i, t]. It earns rewards[i], and
+    entropy[i] is its mean entropy over the hops. hops[t] is hop t's forward
+    pass over all walks; it holds for the parameters that sampled the batch,
+    which its update must use.
+    """
+
+    env: PathEnv
+    learners: np.ndarray
+    keys: np.ndarray
+    chosen: np.ndarray
+    taken: np.ndarray
+    rewards: np.ndarray
+    entropy: np.ndarray
+    hops: list[Hop]
+
+    def paths(self) -> list[Path]:
+        """Each walk's `Path`, decoded with one `decode` per hop."""
+        walks = zip(*map(self.env.kg.decode, self.taken.T))
+        return [Path(EntityRef("learner", u), w) for u, w in zip(self.learners.tolist(), walks)]
+
+    def episode(self, i: int) -> Episode:
+        """Walk i, decoded, with its steps' features gathered by `key_features`."""
+        features = key_features(self.env, self.keys[:, i])
+        steps = map(Step, features, [h.matrices[i] for h in self.hops], self.chosen[i].tolist())
+        path = Path(EntityRef("learner", int(self.learners[i])), self.env.kg.decode(self.taken[i]))
+        return Episode(path, float(self.rewards[i]), float(self.entropy[i]), list(steps))
 
 
 _MASK32 = 0xFFFFFFFF
@@ -387,14 +409,15 @@ def walk_draws(entropy_rows: np.ndarray, n: int) -> np.ndarray:
 def sample_episodes(
     learners: list[EntityRef], env: PathEnv, params: dict[str, np.ndarray], spec: RewardSpec,
     hop_budget: int, draws: np.ndarray,
-) -> list[Episode]:
-    """Roll a walk from each learner for the full hop budget, all in lockstep.
+) -> Batch:
+    """Roll a walk from each learner for the full hop budget, all in lockstep, into one `Batch`.
 
     At hop t walk i takes the action where draws[i, t] falls in its cumulative
     probabilities, so its path does not depend on the batch. Walks are key
-    rows, stepped by `step_keys`, and the paths are decoded once. Every hop
-    reads its pre-activations off the one `first_layer_tables` of the batch,
-    as beam search does. The hops keep their forward pass, which
+    rows, stepped by `step_keys`. Binary rewards are computed on the action
+    ids; a `pgpr` reward decodes the paths. Every hop reads its
+    pre-activations off the one `first_layer_tables` of the batch, as beam
+    search does. The batch keeps each hop's forward pass, which
     `compute_advantages` and `batch_gradients` reuse with these same `params`.
     """
     if not learners:
@@ -405,28 +428,28 @@ def sample_episodes(
     if np.shape(draws) != (len(learners), hop_budget):  # one row would broadcast to all
         raise ValueError("draws must hold one row per walk and one column per hop")
     tables = first_layer_tables(params, env)
-    hops, taken = [], []
+    steps = []  # per hop: its forward pass, key rows, chosen rows and action ids
     for t in range(hop_budget):
         pre = tables.preactivations(key[:, 1], key[:, 0], key[:, 2:])
         matrices = [env.act_matrices[e] for e in key[:, 0].tolist()]
         hop = hop_from_preactivation(params, pre, matrices, np.ones(len(key), int))
-        hop.keys = key
         # a zero-padded row per walk: its running sums are those of its segment
         padded = np.zeros((len(hop.sizes), hop.sizes.max()))
         padded[hop.seg, np.arange(len(hop.probs)) - hop.starts[hop.seg]] = hop.probs
         below = np.count_nonzero(np.cumsum(padded, axis=1) <= draws[:, [t]], axis=1)
-        hop.chosen = np.minimum(below, hop.sizes - 1)
-        hops.append(hop)
-        action_ids = env.act_ids[env.act_ptr[key[:, 0]] + hop.chosen]
-        taken.append(action_ids)
+        rows = np.minimum(below, hop.sizes - 1)
+        action_ids = env.act_ids[env.act_ptr[key[:, 0]] + rows]
+        steps.append((hop, key, rows, action_ids))
         key = step_keys(key, action_ids, env.kg.n_ids)
+    hops, keys, chosen, taken = zip(*steps)
     entropy = sum(hop.entropy for hop in hops) / hop_budget
-    walks = zip(*map(env.kg.decode, taken))  # one decode per hop, regrouped by walk
-    paths = [Path(u, walk) for u, walk in zip(learners, walks)]
-    return [
-        Episode(path, reward(path, spec), float(entropy[i]), hops, i, env)
-        for i, path in enumerate(paths)
-    ]
+    batch = Batch(env, keys[0][:, 1], np.stack(keys), np.column_stack(chosen),
+                  np.column_stack(taken), None, entropy, list(hops))
+    if spec.mode == "binary":
+        batch.rewards = binary_rewards(spec, env.kg, batch.learners, batch.taken)
+    else:  # a pgpr reward reads the decoded paths
+        batch.rewards = np.array([reward(path, spec) for path in batch.paths()])
+    return batch
 
 
 def sample_episode(
@@ -435,45 +458,29 @@ def sample_episode(
 ) -> Episode:
     """The one-walk case of `sample_episodes`, with one `rng.random()` per hop."""
     draws = rng.random(max(hop_budget, 0))[None]
-    return sample_episodes([learner], env, params, spec, hop_budget, draws)[0]
-
-
-def _batch_hops(episodes: list[Episode]) -> list[Hop]:
-    """The hops of the one `sample_episodes` batch that `episodes` is, whole
-    and in its row order; anything else raises ValueError."""
-    if not episodes:
-        raise ValueError("empty episode batch")
-    hops = episodes[0].hops
-    if len(episodes) != len(hops[0].chosen) or any(
-        ep.hops is not hops or ep.row != i for i, ep in enumerate(episodes)
-    ):
-        raise ValueError("an update takes one whole sample_episodes batch, in its row order")
-    return hops
+    return sample_episodes([learner], env, params, spec, hop_budget, draws).episode(0)
 
 
 def compute_advantages(
-    params: dict[str, np.ndarray], episodes: list[Episode], gamma: float
+    params: dict[str, np.ndarray], batch: Batch, gamma: float
 ) -> np.ndarray:
-    """Return G_t = gamma^(T-t) * reward minus baseline b_t, one row per
-    episode and one column per step. `episodes` is one whole
-    `sample_episodes` batch in its row order; anything else raises ValueError.
+    """Return G_t = gamma^(T-t) * reward minus baseline b_t, one row per walk
+    of `batch` and one column per hop.
 
     The baseline head is read from `params` and applied to each hop's stored
     hidden layers, one product per hop; they must come from the `w1`/`b1` of
     these `params`. It is evaluated here only: `batch_gradients` reuses
     G_t - b_t as its error.
     """
-    hops = _batch_hops(episodes)
-    rewards = np.array([ep.reward for ep in episodes])
     return np.column_stack([
-        gamma ** (len(hops) - 1 - t) * rewards - baseline(params, hop.hidden)
-        for t, hop in enumerate(hops)
+        gamma ** (len(batch.hops) - 1 - t) * batch.rewards - baseline(params, hop.hidden)
+        for t, hop in enumerate(batch.hops)
     ])
 
 
 def batch_gradients(
     params: dict[str, np.ndarray],
-    episodes: list[Episode],
+    batch: Batch,
     advantages: np.ndarray,
     entropy_weight: float,
 ) -> dict[str, np.ndarray]:
@@ -482,29 +489,27 @@ def batch_gradients(
     The objective, with advantages held constant, is
     sum_t [log pi(a_t|s_t) * adv_t + beta * H(pi(.|s_t))] - 0.5 * sum_t (b_t - G_t)^2.
 
-    Each hop's forward pass is the one stored when it was sampled, so the
-    episodes must be one whole `sample_episodes` batch, in its row order
-    (anything else raises ValueError), sampled at these `w1`, `b1` and `proj`.
-    The advantages must be `compute_advantages` at these `params`: each one,
-    G_t - b_t, is also the baseline's error. Each hop is one gradient block:
-    the logit gradients are one array over the episodes' segments, and only
-    dL/d[rel ; tail] takes a product per episode, with its action matrix.
-    `w1`'s gradient is one product with the hop's state features, gathered
-    from its key rows by `key_features`.
+    Each hop's forward pass is the one `batch` stored when it was sampled, at
+    these `w1`, `b1` and `proj`. The advantages must be `compute_advantages`
+    at these `params`: each one, G_t - b_t, is also the baseline's error.
+    Each hop is one gradient block: the logit gradients are one array over
+    the walks' segments, and only dL/d[rel ; tail] takes a product per walk,
+    with its action matrix. `w1`'s gradient is one product with the hop's
+    state features, gathered from its key rows by `key_features`.
     """
-    env = episodes[0].env
     grads = {key: np.zeros_like(arr) for key, arr in params.items()}
-    for hop, adv in zip(_batch_hops(episodes), np.asarray(advantages, dtype=float).T):
+    hops = zip(batch.hops, batch.keys, batch.chosen.T, np.asarray(advantages, dtype=float).T)
+    for hop, key_rows, chosen, adv in hops:
         probs, seg = hop.probs, hop.seg
         dlogits = -adv[seg] * probs
-        dlogits[hop.starts + hop.chosen] += adv
+        dlogits[hop.starts + chosen] += adv
         dlogits += entropy_weight * (-probs * (hop.log_probs + hop.entropy[seg]))
         ATD = np.array([
             m.T @ dlogits[s : s + len(m)] for m, s in zip(hop.matrices, hop.starts.tolist())
         ])
         H = hop.hidden
         dh_pre = (ATD @ params["proj"].T + adv[:, None] * params["v_w"]) * (1.0 - H * H)
-        grads["w1"] += dh_pre.T @ key_features(env, hop.keys)
+        grads["w1"] += dh_pre.T @ key_features(batch.env, key_rows)
         grads["b1"] += dh_pre.sum(axis=0)
         grads["proj"] += H.T @ ATD
         grads["v_w"] += adv @ H
@@ -513,23 +518,22 @@ def batch_gradients(
 
 
 def reinforce_update(
-    episodes: list[Episode],
+    batch: Batch,
     params: dict[str, np.ndarray],
     opt,
     cfg: AgentConfig,
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """One ascent step on one whole `sample_episodes` batch, in its row order
-    (anything else raises ValueError); returns (params, statistics)."""
-    advantages = compute_advantages(params, episodes, cfg.gamma)
-    grads = batch_gradients(params, episodes, advantages, cfg.entropy_weight)
+    """One ascent step on one `sample_episodes` batch; returns (params, statistics)."""
+    advantages = compute_advantages(params, batch, cfg.gamma)
+    grads = batch_gradients(params, batch, advantages, cfg.entropy_weight)
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite policy gradient in {key!r}")
     descent = {key: -g for key, g in grads.items()}
     new_params = opt.step(params, descent)
     stats = {
-        "mean_reward": float(np.mean([ep.reward for ep in episodes])),
-        "mean_entropy": float(np.mean([ep.entropy for ep in episodes])),
+        "mean_reward": float(np.mean(batch.rewards)),
+        "mean_entropy": float(np.mean(batch.entropy)),
     }
     return new_params, stats
 
@@ -561,7 +565,7 @@ def train_agent(
     """Epochs x learners x episodes REINFORCE loop, deterministic per seed.
 
     Each batch is one `sample_episodes` call and one update, after which only
-    its rewards and entropies are kept, for the log. Episode j of a
+    its reward and entropy arrays are kept, for the log. Episode j of a
     learner draws what `np.random.default_rng([seed, epoch, learner, j])`
     would, bit for bit, so the paths do not depend on the batch size; each
     epoch's draws are computed at once by `walk_draws`.
@@ -588,10 +592,12 @@ def train_agent(
             starts = [u for u, _j in walks[rows]]
             batch = sample_episodes(starts, env, params, spec, budget, draws[rows])
             params, _ = reinforce_update(batch, params, opt, cfg)
-            rewards += [ep.reward for ep in batch]
-            entropies += [ep.entropy for ep in batch]
+            rewards.append(batch.rewards)
+            entropies.append(batch.entropy)
             del batch  # freed before the next batch is sampled
-        log.append(epoch, float(np.mean(rewards)), float(np.mean(entropies)))
+        # one array per epoch, in walk order: the same pairwise sums as a list of floats
+        log.append(epoch, float(np.mean(np.concatenate(rewards))),
+                   float(np.mean(np.concatenate(entropies))))
     return params, log
 
 

@@ -297,9 +297,11 @@ def batch_surrogate(params, episodes, advantages, entropy_weight, gamma):
 
 
 def fd_policy_gradient_error(
-    params, episodes, advantages, entropy_weight, gamma, analytic, probes, rng, step=1e-5
+    params, batch, advantages, entropy_weight, gamma, analytic, probes, rng, step=1e-5
 ):
-    """Max relative error of `analytic` vs central differences of the surrogate."""
+    """Max relative error of `analytic` vs central differences of the
+    surrogate, over the walks of the `sample_episodes` batch `batch`."""
+    episodes = [batch.episode(i) for i in range(len(batch.learners))]
     names = sorted(params)
     worst = 0.0
     for _ in range(probes):

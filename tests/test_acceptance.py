@@ -144,7 +144,7 @@ def test_criterion_3_gradient_checks():
     )
     draws = np.array([np.random.default_rng(50 + i).random(4) for i in range(4)])
     episodes = sample_episodes([L(i % 4) for i in range(4)], env, params, spec, 4, draws)
-    episodes[0].reward = 1.0
+    episodes.rewards[0] = 1.0
     cfg = AgentConfig(hidden=6, entropy_weight=0.01, seed=0)
     advantages = compute_advantages(params, episodes, cfg.gamma)
     analytic = batch_gradients(params, episodes, advantages, cfg.entropy_weight)

@@ -59,6 +59,9 @@ GOLDEN_RECS = Path(__file__).parent / "golden" / "recommendations_s0.jsonl"
 # the same for DESK_CONFIG, written before the embedding trainer grouped
 # batches by argsort and before the update stopped re-evaluating the baseline
 GOLDEN_DESK_RECS = Path(__file__).parent / "golden" / "desk_recommendations_s0.jsonl"
+# agent_log_s0.csv of the DESK_CONFIG chain, written before training's walks
+# stayed integer ids: each epoch's mean reward and entropy, byte for byte
+GOLDEN_DESK_LOG = Path(__file__).parent / "golden" / "desk_agent_log_s0.csv"
 
 
 def assert_matches_golden(got_path, want_path):
@@ -114,6 +117,7 @@ def test_desk_recommendations_match_golden(tmp_path):
     for command in CHAIN:
         assert main([command, "--config", str(cfg)]) == 0, command
     assert_matches_golden(tmp_path / "out" / "recommendations_s0.jsonl", GOLDEN_DESK_RECS)
+    assert (tmp_path / "out" / "agent_log_s0.csv").read_bytes() == GOLDEN_DESK_LOG.read_bytes()
 
 
 def test_evaluate_and_patterns_round_trip(pipeline):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pathrec.policy as policy_module
 from pathrec.embeddings import EmbedConfig, init_embeddings
-from pathrec.environment import PathEnv, RewardSpec
+from pathrec.environment import PathEnv, RewardSpec, reward
 from pathrec.errors import CheckpointMismatchError, ConfigError, DataError
 from pathrec.kg import filter_learners
 from pathrec.optim import Adam
@@ -212,7 +212,6 @@ class TestPolicyForward:
         hop = hop_of_features(params, X, matrices, np.ones(len(matrices), dtype=int))
         assert hop.starts.tolist() == np.cumsum([0, 6, 1, 12, 3, 9, 2, 1, 10]).tolist()
         assert hop.seg.tolist() == np.repeat(np.arange(9), [len(m) for m in matrices]).tolist()
-        assert hop.chosen is None
         for i, (x, a) in enumerate(zip(X, matrices)):
             probs, logp, h = policy_forward(params, x, a)
             rows = slice(hop.starts[i], hop.starts[i] + len(a))
@@ -355,28 +354,69 @@ class TestSampleEpisode:
     def test_a_walk_is_the_same_alone_and_in_any_batch(self, graph, history):
         kg, env, params, spec = walk_setup(graph, history)
         walks = [(u, j) for u in kg.learners() for j in range(3)]
-        alone = [
-            sample_episode(u, env, params, spec, 4, np.random.default_rng([9, u.index, j]))
-            for u, j in walks
-        ]
+
+        def draws(order):
+            return np.array([np.random.default_rng([9, u.index, j]).random(4) for u, j in order])
+
+        alone = [sample_episodes([u], env, params, spec, 4, draws([(u, j)])) for u, j in walks]
         for order in (walks, walks[::-1], walks[1::2]):
-            batch = sample_episodes(
-                [u for u, _j in order], env, params, spec, 4,
-                np.array([np.random.default_rng([9, u.index, j]).random(4) for u, j in order]),
-            )
-            for i, ep in enumerate(batch):
+            batch = sample_episodes([u for u, _j in order], env, params, spec, 4, draws(order))
+            assert batch.keys.shape[:2] == batch.chosen.T.shape == batch.taken.T.shape
+            assert len(batch.hops) == 4
+            for i, path in enumerate(batch.paths()):
                 want = alone[walks.index(order[i])]
-                assert ep.path == want.path and ep.reward == want.reward
-                assert ep.row == i and len(ep.hops) == 4
-                for got, one in zip(ep.hops, want.hops):
+                assert path == want.paths()[0] and batch.rewards[i] == want.rewards[0]
+                assert batch.learners[i] == want.learners[0]
+                assert batch.chosen[i].tolist() == want.chosen[0].tolist()
+                assert batch.taken[i].tolist() == want.taken[0].tolist()
+                assert batch.keys[:, i].tobytes() == want.keys[:, 0].tobytes()
+                for got, one in zip(batch.hops, want.hops):
                     rows = slice(got.starts[i], got.starts[i] + len(got.matrices[i]))
-                    assert got.chosen[i] == one.chosen[0]
-                    assert got.keys[i].tobytes() == one.keys[0].tobytes()
                     np.testing.assert_allclose(got.hidden[i], one.hidden[0], rtol=0, atol=1e-12)
                     np.testing.assert_allclose(got.probs[rows], one.probs, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(
                         got.log_probs[rows], one.log_probs, rtol=0, atol=1e-12
                     )
+
+
+class TestBatchRewards:
+    """A batch's rewards are computed on its action ids; they must be what
+    `reward` pays each decoded path, bit for bit."""
+
+    @pytest.mark.parametrize("graph", ["tiny", "generated"])
+    @pytest.mark.parametrize("history", [0, 1, 2])
+    @pytest.mark.parametrize("budget", [3, 4, 5])
+    def test_binary_rewards_equal_path_rewards(self, graph, history, budget):
+        kg, env, params, spec = walk_setup(graph, history)
+        # learner 0 holds no train enrollment
+        spec = RewardSpec("binary", {u: cs for u, cs in spec.train_enrollments.items() if u})
+        starts = [u for u in kg.learners() for _ in range(40)]
+        draws = np.random.default_rng(budget).random((len(starts), budget))
+        draws[::4] = 0.0  # every hop the self-loop, the first action
+        draws[1::4, 1:] = 0.0  # one real hop, then self-loops
+        batch = sample_episodes(starts, env, params, spec, budget, draws)
+        paths = batch.paths()
+        assert batch.rewards.tolist() == [reward(path, spec) for path in paths]
+        on_course = [p for p in paths if p.final_entity.entity_type == "course"]
+        assert 0 < batch.rewards.sum() < len(on_course)
+        assert any(p.n_hops_effective == 0 for p in paths)
+        assert any(p.n_hops_effective == 1 for p in on_course)
+        assert any(p.start.index == 0 and p.n_hops_effective > 1 for p in on_course)
+
+    def test_pgpr_rewards_are_path_rewards(self):
+        kg, env, params, spec = walk_setup("generated", 1)
+        spec = RewardSpec(
+            "pgpr", spec.train_enrollments,
+            pattern_whitelist={("enrolled",), ("enrolled", "enrolled_inv", "enrolled")},
+            embeddings=init_embeddings(kg, EmbedConfig(d=3, seed=7)),
+        )
+        starts = [u for u in kg.learners() for _ in range(16)]
+        draws = np.random.default_rng(1).random((len(starts), 4))
+        draws[1::4, 1:] = 0.0
+        batch = sample_episodes(starts, env, params, spec, 4, draws)
+        want = [reward(path, spec) for path in batch.paths()]
+        assert batch.rewards.tolist() == want
+        assert 0 < np.count_nonzero(batch.rewards) < len(want)
 
 
 class TestWalkDraws:
@@ -422,8 +462,13 @@ class TestWalkDraws:
             walk_draws(rows, 4)
 
 
+def episodes_of(batch):
+    """Each walk of `batch` as a per-walk record, for the per-step oracles."""
+    return [batch.episode(i) for i in range(len(batch.learners))]
+
+
 def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6):
-    """One `sample_episodes` batch, episode i drawing what
+    """One `sample_episodes` batch, walk i drawing what
     `np.random.default_rng(100 + i)` does."""
     env = tiny_env(d=d, seed=seed)
     params = init_policy(d, AgentConfig(hidden=hidden, seed=seed))
@@ -433,109 +478,77 @@ def frozen_batch(d=2, n_episodes=2, seed=0, hidden=6):
 
 
 def varied_batch():
-    """A frozen batch of 81 episodes with varied advantages."""
-    params, episodes = frozen_batch(d=4, n_episodes=81, hidden=8)
+    """A frozen batch of 81 walks with varied advantages."""
+    params, batch = frozen_batch(d=4, n_episodes=81, hidden=8)
     rng = np.random.default_rng(7)
     params["v_w"] = rng.normal(scale=0.5, size=params["v_w"].shape)
-    for ep in episodes:
-        ep.reward = float(rng.random())
-    return params, episodes, compute_advantages(params, episodes, gamma=0.9)
+    batch.rewards = rng.random(81)
+    return params, batch, compute_advantages(params, batch, gamma=0.9)
 
 
 class TestReinforceUpdate:
     def test_zero_advantage_moves_only_entropy(self):
-        params, episodes = frozen_batch()
+        params, batch = frozen_batch()
         # force every reward and every baseline output to the same constant
-        for ep in episodes:
-            ep.reward = 0.5
+        batch.rewards[:] = 0.5
         params["v_w"][:] = 0.0
         params["v_b"][0] = 0.5
-        advantages = compute_advantages(params, episodes, gamma=1.0)
+        advantages = compute_advantages(params, batch, gamma=1.0)
         assert all(abs(a) < 1e-12 for advs in advantages for a in advs)
-        grads = batch_gradients(params, episodes, advantages, entropy_weight=0.0)
+        grads = batch_gradients(params, batch, advantages, entropy_weight=0.0)
         for arr in grads.values():
             np.testing.assert_allclose(arr, 0.0, atol=1e-12)
-        with_entropy = batch_gradients(params, episodes, advantages, 0.01)
+        with_entropy = batch_gradients(params, batch, advantages, 0.01)
         assert any(np.abs(arr).max() > 0 for arr in with_entropy.values())
 
     def test_gradient_matches_finite_differences(self):
-        params, episodes = frozen_batch(d=2, n_episodes=2)
-        episodes[0].reward = 1.0  # make advantages non-trivial
+        params, batch = frozen_batch(d=2, n_episodes=2)
+        batch.rewards[0] = 1.0  # make advantages non-trivial
         cfg = AgentConfig(hidden=6, entropy_weight=0.01, seed=0)
-        advantages = compute_advantages(params, episodes, cfg.gamma)
-        analytic = batch_gradients(params, episodes, advantages, cfg.entropy_weight)
+        advantages = compute_advantages(params, batch, cfg.gamma)
+        analytic = batch_gradients(params, batch, advantages, cfg.entropy_weight)
         err = fd_policy_gradient_error(
-            params, episodes, advantages, cfg.entropy_weight, cfg.gamma,
+            params, batch, advantages, cfg.entropy_weight, cfg.gamma,
             analytic, probes=60, rng=np.random.default_rng(0),
         )
         assert err <= 1e-3
 
     def test_gradient_matches_per_step_oracle(self):
-        params, episodes, advantages = varied_batch()
-        got = batch_gradients(params, episodes, advantages, 0.05)
-        want = reference_batch_gradients(params, episodes, advantages, 0.05, 0.9)
+        params, batch, advantages = varied_batch()
+        got = batch_gradients(params, batch, advantages, 0.05)
+        want = reference_batch_gradients(params, episodes_of(batch), advantages, 0.05, 0.9)
         for key in params:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
 
     def test_advantages_equal_fresh_forward_oracle(self):
         # the baseline is one product per hop, `H @ v_w`, and the stored hidden
         # layers a matrix product, so they agree with a one-state pass by rounding
-        params, episodes, advantages = varied_batch()
-        want = reference_advantages(params, episodes, gamma=0.9)
+        params, batch, advantages = varied_batch()
+        want = reference_advantages(params, episodes_of(batch), gamma=0.9)
         assert advantages.shape == (81, 4)
         np.testing.assert_allclose(advantages, want, rtol=0, atol=1e-12)
 
     def test_zero_learning_rate_keeps_params(self):
-        params, episodes = frozen_batch()
-        episodes[0].reward = 1.0
+        params, batch = frozen_batch()
+        batch.rewards[0] = 1.0
         cfg = AgentConfig(hidden=6, learning_rate=0.0, seed=0)
-        new_params, _stats = reinforce_update(episodes, params, Adam(0.0), cfg)
+        new_params, _stats = reinforce_update(batch, params, Adam(0.0), cfg)
         for key in params:
             np.testing.assert_array_equal(new_params[key], params[key])
 
     def test_stats_shape(self):
-        params, episodes = frozen_batch()
+        params, batch = frozen_batch()
         cfg = AgentConfig(hidden=6, seed=0)
-        _p, stats = reinforce_update(episodes, params, Adam(1e-3), cfg)
+        _p, stats = reinforce_update(batch, params, Adam(1e-3), cfg)
         assert set(stats) == {"mean_reward", "mean_entropy"}
-
-    def test_empty_batch_rejected(self):
-        params, _ = frozen_batch()
-        with pytest.raises(ValueError):
-            reinforce_update([], params, Adam(1e-3), AgentConfig(hidden=6))
-
-    @staticmethod
-    def update_calls(params, episodes):
-        """Each update entry point, called on `episodes`."""
-        cfg = AgentConfig(hidden=6, seed=0)
-        advantages = np.zeros((len(episodes), 4))
-        return [
-            lambda: compute_advantages(params, episodes, cfg.gamma),
-            lambda: batch_gradients(params, episodes, advantages, cfg.entropy_weight),
-            lambda: reinforce_update(episodes, params, Adam(1e-3), cfg),
-        ]
-
-    @pytest.mark.parametrize("call", [0, 1, 2])
-    @pytest.mark.parametrize("part", ["partial", "reordered", "two batches", "spliced"])
-    def test_an_update_takes_one_whole_batch_in_order(self, part, call):
-        params, episodes = frozen_batch(n_episodes=3)
-        other = frozen_batch(n_episodes=3)[1]
-        episodes = {
-            "partial": episodes[1:],
-            "reordered": [episodes[1], episodes[0], episodes[2]],
-            "two batches": episodes + other,
-            "spliced": episodes[:2] + other[2:],  # rows 0-2, of two batches
-        }[part]
-        with pytest.raises(ValueError, match="one whole sample_episodes batch"):
-            self.update_calls(params, episodes)[call]()
 
     def test_a_one_walk_episode_is_a_whole_batch(self):
         env = tiny_env(d=2, seed=0)
         params = init_policy(2, AgentConfig(hidden=6, seed=0))
-        ep = sample_episode(EntityRef("learner", 1), env, params, BINARY, 4,
-                            np.random.default_rng(3))
-        ep.reward = 1.0
-        new_params, stats = reinforce_update([ep], params, Adam(1e-2), AgentConfig(hidden=6))
+        draws = np.random.default_rng(3).random(4)[None]
+        batch = sample_episodes([EntityRef("learner", 1)], env, params, BINARY, 4, draws)
+        batch.rewards[0] = 1.0
+        new_params, stats = reinforce_update(batch, params, Adam(1e-2), AgentConfig(hidden=6))
         assert stats["mean_reward"] == 1.0
         assert any(not np.array_equal(new_params[key], params[key]) for key in params)
 
@@ -635,9 +648,9 @@ class TestTrainAgent:
         real = policy_module.sample_episodes
 
         def recording(*args):
-            episodes = real(*args)
-            sampled.extend(ep.path for ep in episodes)
-            return episodes
+            batch = real(*args)
+            sampled.extend(batch.paths())
+            return batch
 
         monkeypatch.setattr(policy_module, "sample_episodes", recording)
         params, log = train_agent(kg, env.embeddings, cfg, spec)
@@ -657,9 +670,9 @@ class TestTrainAgent:
         real = policy_module.sample_episodes
 
         def recording(*args):
-            episodes = real(*args)
-            sampled.extend(ep.path for ep in episodes)
-            return episodes
+            batch = real(*args)
+            sampled.extend(batch.paths())
+            return batch
 
         monkeypatch.setattr(policy_module, "sample_episodes", recording)
         params, log = train_agent(kg, env.embeddings, cfg, spec)
@@ -669,6 +682,18 @@ class TestTrainAgent:
         for key in params:
             np.testing.assert_allclose(params[key], want_params[key], rtol=0, atol=1e-12,
                                        err_msg=key)
+
+    def test_binary_training_decodes_no_walk(self, monkeypatch):
+        # binary rewards are paid on action ids: no walk becomes a `Path`
+        kg, table = self._setup()
+
+        def forbidden(*args):
+            raise AssertionError("training decoded a walk")
+
+        monkeypatch.setattr(policy_module, "Path", forbidden)
+        monkeypatch.setattr(type(kg), "decode", forbidden)
+        _params, log = train_agent(kg, table, AgentConfig(epochs=2, hidden=8, seed=0), BINARY)
+        assert any(r > 0 for r in log.mean_reward)
 
     def test_log_csv(self, tmp_path):
         kg, table = self._setup()
@@ -740,7 +765,7 @@ class TestSinglePass:
         assert calls == batches * cfg.epochs
 
     def test_update_makes_no_forward_pass(self, monkeypatch):
-        params, episodes, _ = varied_batch()
+        params, batch, _ = varied_batch()
 
         def forbidden(*args):
             raise AssertionError("the update ran a forward pass")
@@ -749,9 +774,9 @@ class TestSinglePass:
         monkeypatch.setattr(policy_module, "first_layer_tables", forbidden)
         monkeypatch.setattr(policy_module.FirstLayer, "preactivations", forbidden)
         monkeypatch.setattr(policy_module, "hop_from_preactivation", forbidden)
-        advantages = compute_advantages(params, episodes, gamma=0.9)
-        batch_gradients(params, episodes, advantages, 0.05)
-        reinforce_update(episodes, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
+        advantages = compute_advantages(params, batch, gamma=0.9)
+        batch_gradients(params, batch, advantages, 0.05)
+        reinforce_update(batch, params, Adam(1e-3), AgentConfig(hidden=8, gamma=0.9))
 
     def test_a_batch_is_freed_after_its_update(self, monkeypatch):
         # 8 walks an epoch in batches of 3, over 2 epochs: 6 updates
@@ -760,11 +785,11 @@ class TestSinglePass:
         real = policy_module.reinforce_update
         earlier = []
 
-        def watching(episodes, params, opt, cfg):
+        def watching(batch, params, opt, cfg):
             gc.collect()
             assert all(ref() is None for ref in earlier), "an earlier batch is still alive"
-            earlier.append(weakref.ref(episodes[0].hops[0]))
-            return real(episodes, params, opt, cfg)
+            earlier.append(weakref.ref(batch.hops[0]))
+            return real(batch, params, opt, cfg)
 
         monkeypatch.setattr(policy_module, "reinforce_update", watching)
         train_agent(kg, table, cfg, BINARY)
@@ -780,25 +805,23 @@ class TestSinglePass:
         real = policy_module.reinforce_update
         updates = []
 
-        def checking(episodes, params, opt, cfg):
-            hops, env = episodes[0].hops, episodes[0].env
-            assert all(ep.hops is hops for ep in episodes)
-            assert [ep.row for ep in episodes] == list(range(len(episodes)))
+        def checking(batch, params, opt, cfg):
+            env = batch.env
             tables = first_layer_tables(params, env)
-            for hop in hops:
-                pre = tables.preactivations(hop.keys[:, 1], hop.keys[:, 0], hop.keys[:, 2:])
+            for hop, keys in zip(batch.hops, batch.keys, strict=True):
+                pre = tables.preactivations(keys[:, 1], keys[:, 0], keys[:, 2:])
                 fresh = hop_from_preactivation(params, pre, hop.matrices, hop.runs)
                 for name in ("hidden", "probs", "log_probs", "starts", "seg", "entropy"):
                     assert getattr(hop, name).tobytes() == getattr(fresh, name).tobytes(), name
-                features = key_features(env, hop.keys)
+                features = key_features(env, keys)
                 for i, (x, matrix) in enumerate(zip(features, hop.matrices)):
                     probs, logp, h = policy_forward(params, x, matrix)
                     rows = slice(hop.starts[i], hop.starts[i] + len(matrix))
                     np.testing.assert_allclose(hop.probs[rows], probs, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(hop.log_probs[rows], logp, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(hop.hidden[i], h, rtol=0, atol=1e-12)
-            updates.append(len(episodes))
-            return real(episodes, params, opt, cfg)
+            updates.append(len(batch.learners))
+            return real(batch, params, opt, cfg)
 
         monkeypatch.setattr(policy_module, "reinforce_update", checking)
         train_agent(kg, table, cfg, BINARY)
